@@ -40,18 +40,11 @@ int Main() {
   auto scan_queries = ldbc::BuildShortReads(pmem_env->ds.schema, false);
   auto index_queries = ldbc::BuildShortReads(pmem_env->ds.schema, true);
 
-  // Ablation configuration: batched scan kernels + prefetch disabled
-  // (PMem-s0). The default PMem-s runs with batching on.
-  storage::ScanOptions batch_on = pmem_env->db->scan_options();
-  storage::ScanOptions batch_off;
-  batch_off.batch_enabled = false;
-  batch_off.prefetch_distance = 0;
-
   BenchJson json("fig5_short_reads");
 
-  std::printf("%-9s %10s %10s %10s %10s %10s %10s %10s %10s %10s %10s\n",
-              "query", "PMem-s", "PMem-s0", "PMem-sNC", "PMem-p", "PMem-i",
-              "PMem-iNC", "DRAM-s", "DRAM-p", "DRAM-i", "DISK-i");
+  std::printf("%-9s %10s %10s %10s %10s %10s %10s %10s %10s %10s\n",
+              "query", "PMem-s", "PMem-sNC", "PMem-p", "PMem-i", "PMem-iNC",
+              "DRAM-s", "DRAM-p", "DRAM-i", "DISK-i");
 
   // Per-query parameter sequences, shared by every configuration so all
   // columns see identical inputs.
@@ -104,10 +97,6 @@ int Main() {
 
     BenchSample pmem_s = run_engine(pmem_env.get(), q, scan_queries[q].plan,
                                     ExecutionMode::kInterpret);
-    pmem_env->db->set_scan_options(batch_off);
-    BenchSample pmem_s0 = run_engine(pmem_env.get(), q, scan_queries[q].plan,
-                                     ExecutionMode::kInterpret);
-    pmem_env->db->set_scan_options(batch_on);
     BenchSample pmem_snc = pmem_snc_all[q];
     BenchSample pmem_p = run_engine(pmem_env.get(), q, scan_queries[q].plan,
                                     ExecutionMode::kInterpretParallel);
@@ -130,13 +119,12 @@ int Main() {
 
     std::printf(
         "%-9s %10.1f %10.1f %10.1f %10.1f %10.1f %10.1f %10.1f %10.1f "
-        "%10.1f %10.1f\n",
-        name.c_str(), pmem_s.mean_us, pmem_s0.mean_us, pmem_snc.mean_us,
+        "%10.1f\n",
+        name.c_str(), pmem_s.mean_us, pmem_snc.mean_us,
         pmem_p.mean_us, pmem_i.mean_us, pmem_inc.mean_us, dram_s.mean_us,
         dram_p.mean_us, dram_i.mean_us, disk_i.mean_us);
 
     json.Add(name + "/PMem-s", pmem_s.median_ns);
-    json.Add(name + "/PMem-s-nobatch", pmem_s0.median_ns);
     json.Add(name + "/PMem-s-nocache", pmem_snc.median_ns);
     json.Add(name + "/PMem-p", pmem_p.median_ns);
     json.Add(name + "/PMem-i", pmem_i.median_ns);

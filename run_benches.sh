@@ -36,7 +36,8 @@ if [ "${1:-}" = "--check" ]; then
   cmake -B /root/repo/build-tsan -S /root/repo -DPOSEIDON_TSAN=ON
   cmake --build /root/repo/build-tsan -j"$(nproc)" --target \
       concurrency_test mvto_test commit_pipeline_test tx_edge_test \
-      adjacency_cache_test readpath_scaling_test overload_test
+      adjacency_cache_test readpath_scaling_test overload_test \
+      jit_lifetime_test
   ctest --test-dir /root/repo/build-tsan -L tsan --output-on-failure
   ctest --test-dir /root/repo/build-tsan -L readpath --output-on-failure
   ctest --test-dir /root/repo/build-tsan -L overload --output-on-failure
@@ -61,7 +62,8 @@ if [ "${1:-}" = "--check" ]; then
   echo "ASAN FAULT CHECK DONE"
   cmake -B /root/repo/build-psan -S /root/repo -DPOSEIDON_PSAN=ON
   cmake --build /root/repo/build-psan -j"$(nproc)" --target \
-      psan_test latency_model_test commit_pipeline_test crash_explorer_test
+      psan_test latency_model_test commit_pipeline_test crash_explorer_test \
+      media_fault_test overload_test
   ctest --test-dir /root/repo/build-psan -L psan --output-on-failure
   echo "PSAN CHECK DONE"
   exit 0

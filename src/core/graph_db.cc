@@ -36,7 +36,6 @@ Result<std::unique_ptr<GraphDb>> GraphDb::Init(const GraphDbOptions& options,
   pool_options.crash_shadow = options.crash_shadow;
   pool_options.has_latency_override = options.has_latency_override;
   pool_options.latency_override = options.latency_override;
-  pool_options.commit_pipeline = options.commit_pipeline;
   pool_options.redo_segments = options.redo_segments;
 
   if (create) {
@@ -116,7 +115,6 @@ std::string GraphDb::Explain(const query::Plan& plan) const {
   query::ExplainAnnotation ann;
   ann.threads = engine_->pool()->num_threads();
   ann.morsel = query::QueryEngine::kMorselSize;
-  ann.batch = engine_->scan_options().batch_enabled;
   const tx::AdjacencyCacheStats adj = txm_->adjacency_cache().stats();
   ann.adj_cache =
       engine_->adj_cache_enabled() && txm_->adjacency_cache().enabled();
@@ -189,7 +187,15 @@ Result<query::QueryResult> GraphDb::Execute(
     const query::Plan& plan, jit::ExecutionMode mode,
     const std::vector<query::Value>& params, jit::ExecStats* stats,
     int64_t deadline_ms) {
-  auto tx = Begin();
+  // Write plans pass the admission gate and the soft-watermark writer
+  // denial; read plans take the snapshot read path and commit without a
+  // redo transaction.
+  std::unique_ptr<tx::Transaction> tx;
+  if (plan.HasWrites()) {
+    POSEIDON_ASSIGN_OR_RETURN(tx, BeginWrite());
+  } else {
+    tx = BeginReadOnly();
+  }
   if (deadline_ms > 0) {
     tx->cancel_token()->SetDeadlineAfterMs(deadline_ms);  // per-query override
   }

@@ -42,14 +42,10 @@ struct GraphDbOptions {
   /// to measure pure software overhead).
   bool has_latency_override = false;
   pmem::LatencyModel latency_override;
-  /// Batched-scan knobs (batch size, prefetch distance, batching on/off)
-  /// applied to all executions; defaults honour the POSEIDON_SCAN_* env
-  /// variables for ablation sweeps.
+  /// Batched-scan knobs (batch size, prefetch distance) applied to all
+  /// executions; defaults honour the POSEIDON_SCAN_* env variables for
+  /// ablation sweeps.
   storage::ScanOptions scan = storage::ScanOptions::FromEnv();
-  /// Parallel commit pipeline master switch: -1 = POSEIDON_COMMIT_PIPELINE
-  /// env (default on). Off reproduces the serialized baseline commit path
-  /// for ablations.
-  int commit_pipeline = -1;
   /// Redo-log segment count: 0 = POSEIDON_REDO_SEGMENTS env (default 8).
   uint32_t redo_segments = 0;
 };
@@ -103,7 +99,10 @@ class GraphDb {
   }
 
   /// Executes a plan in its own transaction (committed on success, aborted
-  /// with the cause recorded on failure). `deadline_ms` > 0 overrides the
+  /// with the cause recorded on failure). Plans that write open it through
+  /// BeginWrite() and shed with ResourceExhausted when the admission gate or
+  /// the soft space watermark denies them; read-only plans use
+  /// BeginReadOnly(). `deadline_ms` > 0 overrides the
   /// manager-wide POSEIDON_QUERY_DEADLINE_MS default for this query only.
   Result<query::QueryResult> Execute(
       const query::Plan& plan,
@@ -141,7 +140,7 @@ class GraphDb {
   }
 
   /// EXPLAIN: renders `plan` with execution-mode annotations on the
-  /// pipeline source (worker threads, morsel size, batching state).
+  /// pipeline source (worker threads, morsel size, read protocol).
   std::string Explain(const query::Plan& plan) const;
 
   /// True if Open() had to recover from an unclean shutdown.

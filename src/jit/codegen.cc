@@ -155,8 +155,6 @@ class CodeGenerator {
   Status EmitProject(const Op* op, size_t i, llvm::BasicBlock* cont);
   Status EmitTailCall(llvm::BasicBlock* cont);
   Status EmitNodeScanSource();
-  Status EmitNodeScanScalar();
-  Status EmitNodeScanBatched();
   Status EmitIndexScanSource();
   Status EmitCreateSource();
 
@@ -967,17 +965,13 @@ Status CodeGenerator::EmitPipeline(size_t i, llvm::BasicBlock* cont) {
   }
 }
 
-Status CodeGenerator::EmitNodeScanSource() {
-  return scan_.batch_enabled ? EmitNodeScanBatched() : EmitNodeScanScalar();
-}
-
-// Batched scan loop (mirrors ChunkedTable::ScanBatch): the outer loop walks
+// Node-scan loop (mirrors ChunkedTable::ScanBatch): the outer loop walks
 // 64-bit occupancy words — one `bits != 0` test skips 64 empty slots — and
 // the inner loop extracts set bits with cttz. Before resolving a record the
 // next occupied record of the word is prefetched, and on entering a chunk
 // the next chunk's header is, so the emulated PMem fill overlaps the MVTO
 // visibility check and downstream operators.
-Status CodeGenerator::EmitNodeScanBatched() {
+Status CodeGenerator::EmitNodeScanSource() {
   const Op* src = ops_[0];
   llvm::IRBuilder<> eb(entry_, entry_->begin());
   auto* w_addr = eb.CreateAlloca(eb.getInt64Ty(), nullptr, "scan.w");
@@ -1104,48 +1098,6 @@ Status CodeGenerator::EmitNodeScanBatched() {
   auto* wcur = b().CreateLoad(I64(), w_addr);
   b().CreateStore(b().CreateAdd(wcur, C64(1)), w_addr);
   b().CreateBr(whead);
-  return Status::Ok();
-}
-
-Status CodeGenerator::EmitNodeScanScalar() {
-  const Op* src = ops_[0];
-  llvm::IRBuilder<> eb(entry_, entry_->begin());
-  auto* id_addr = eb.CreateAlloca(eb.getInt64Ty(), nullptr, "scan.id");
-  b().CreateStore(arg_begin_, id_addr);
-  auto [slot, slot_idx] = AllocHandle();
-  handle_ptrs_[slot_idx] = slot;
-
-  auto* head = NewBlock("scan.head");
-  auto* body = NewBlock("scan.body");
-  auto* latch = NewBlock("scan.latch");
-  b().CreateBr(head);
-
-  b().SetInsertPoint(head);
-  auto* id = b().CreateLoad(I64(), id_addr, "id");
-  b().CreateCondBr(b().CreateICmpULT(id, arg_end_), body, ret_ok_);
-
-  b().SetInsertPoint(body);
-  EmitCancelPoll("scan");
-  auto* visible = EmitRecordRef(/*is_node=*/true, id, slot, slot_idx);
-  auto* check = NewBlock("scan.check");
-  b().CreateCondBr(visible, check, latch);
-  b().SetInsertPoint(check);
-  if (src->label != storage::kInvalidCode) {
-    auto* rec = LoadRec(slot);
-    auto* match = b().CreateICmpEQ(LoadLabel(rec), C32(src->label));
-    auto* process = NewBlock("scan.process");
-    b().CreateCondBr(match, process, latch);
-    b().SetInsertPoint(process);
-  }
-  cols_.clear();
-  cols_.push_back(
-      Col{id, CKind(Value::Kind::kNode), static_cast<int>(slot_idx)});
-  POSEIDON_RETURN_IF_ERROR(EmitPipeline(1, latch));
-
-  b().SetInsertPoint(latch);
-  auto* cur = b().CreateLoad(I64(), id_addr);
-  b().CreateStore(b().CreateAdd(cur, C64(1)), id_addr);
-  b().CreateBr(head);
   return Status::Ok();
 }
 

@@ -131,7 +131,6 @@ uint64_t JitEngine::QueryIdFor(const query::Plan& plan,
       HashCombine(HashString(plan.Signature()), options.optimize ? 1 : 2);
   // The scan knobs are codegen inputs (they change the emitted loop), so
   // they participate in the cache key.
-  id = HashCombine(id, options.scan.batch_enabled ? 1 : 2);
   id = HashCombine(id, options.scan.batch_size);
   id = HashCombine(id, options.scan.prefetch_distance);
   // So is the adjacency-cache fast path (dual Expand loop vs chain walk).

@@ -73,6 +73,8 @@ Result<std::unique_ptr<JitQueryEngine>> JitQueryEngine::Create(
   return engine;
 }
 
+JitQueryEngine::~JitQueryEngine() { WaitForBackgroundCompiles(); }
+
 void JitQueryEngine::WaitForBackgroundCompiles() {
   std::unique_lock<std::mutex> lock(bg_mu_);
   bg_done_.wait(lock, [this] { return bg_inflight_ == 0; });
@@ -256,11 +258,12 @@ Result<QueryResult> JitQueryEngine::Execute(
                 compiled->num_handle_slots <= kMaxHandleSlots) {
               compiled_fn->store(compiled->fn, std::memory_order_release);
             }
-            {
-              std::lock_guard<std::mutex> lock(bg_mu_);
-              bg_query_ids_.erase(qid);
-              --bg_inflight_;
-            }
+            // Notify under the lock: once it is released a waiter may return
+            // and destroy the engine, so this thread must not touch `this`
+            // after the unlock.
+            std::lock_guard<std::mutex> lock(bg_mu_);
+            bg_query_ids_.erase(qid);
+            --bg_inflight_;
             bg_done_.notify_all();
           }).detach();
         }

@@ -71,6 +71,9 @@ class JitQueryEngine {
       storage::GraphStore* store, index::IndexManager* indexes,
       size_t num_threads, QueryCache* cache);
 
+  /// Waits for detached background compiles, which reference the engine.
+  ~JitQueryEngine();
+
   /// Executes `plan` inside `tx`. The plan only needs to live for the
   /// duration of this call: adaptive background compilation operates on a
   /// self-contained module generated synchronously (JitEngine::BeginCompile).

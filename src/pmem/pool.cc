@@ -157,9 +157,6 @@ uint64_t HeaderConfigCrc(const void* header_base) {
 // --- Lifecycle --------------------------------------------------------------
 
 void Pool::Configure(const PoolOptions& options) {
-  pipelined_ = options.commit_pipeline >= 0
-                   ? options.commit_pipeline != 0
-                   : EnvInt("POSEIDON_COMMIT_PIPELINE", 1) != 0;
   if (options.has_latency_override) {
     latency_ = options.latency_override;
   } else {
@@ -397,7 +394,6 @@ void Pool::InitHeader(const PoolOptions& options) {
                                 EnvInt("POSEIDON_REDO_SEGMENTS", 8), 1,
                                 static_cast<int>(kMaxRedoSegments)));
   segments = std::clamp<uint32_t>(segments, 1, kMaxRedoSegments);
-  if (!pipelined_) segments = 1;  // serialized baseline: one pool-wide log
 
   auto* h = header();
   std::memset(h, 0, sizeof(Header));
@@ -1277,8 +1273,7 @@ uint32_t ThreadSegmentHint() {
 }
 }  // namespace
 
-RedoTx::RedoTx(RedoLog* log)
-    : log_(log), pipelined_(log->pool_->pipelined()) {
+RedoTx::RedoTx(RedoLog* log) : log_(log) {
   segment_ = log_->AcquireSegment(ThreadSegmentHint() % log_->num_segments());
   seg_ = log_->pool_->base_ + log_->segment_offset(segment_);
 }
@@ -1288,21 +1283,9 @@ RedoTx::~RedoTx() { log_->ReleaseSegment(segment_); }
 void RedoTx::Stage(Offset target, const void* data, uint64_t len) {
   assert(!committed_);
   uint64_t padded = (len + 7) & ~7ull;
-  if (!pipelined_) {
-    // Serialized baseline (the seed path): buffer the entry in DRAM; Commit
-    // copies it into the log.
-    Entry e;
-    e.target = target;
-    e.len = len;
-    e.data.resize(len);
-    std::memcpy(e.data.data(), data, len);
-    staged_bytes_ += 16 + padded;
-    entries_.push_back(std::move(e));
-    return;
-  }
-  // Pipelined: append directly into the exclusively-owned segment. The
-  // entry bytes are plain stores — nothing here is durable (or flushed)
-  // until Commit's phase 1.
+  // Append directly into the exclusively-owned segment. The entry bytes are
+  // plain stores — nothing here is durable (or flushed) until Commit's
+  // phase 1.
   if (overflow_ || pos_ + 16 + padded > log_->segment_size_) {
     overflow_ = true;
     return;
@@ -1318,19 +1301,6 @@ void RedoTx::Stage(Offset target, const void* data, uint64_t len) {
 Status RedoTx::Commit(uint64_t commit_ts, const DrainFn& drain) {
   assert(!committed_);
   committed_ = true;
-  Status status = pipelined_ ? CommitPipelined(commit_ts, drain)
-                             : CommitSerialized(commit_ts, drain);
-#ifdef POSEIDON_PSAN
-  // Commit boundary: every line this thread dirtied must have been flushed
-  // by now (phase 4 leaves lines FLUSHING, which is fine — DIRTY is not).
-  if (status.ok() && log_->pool_->psan_ != nullptr) {
-    log_->pool_->psan_->OnCommitBoundary();
-  }
-#endif
-  return status;
-}
-
-Status RedoTx::CommitPipelined(uint64_t commit_ts, const DrainFn& drain) {
   Pool* pool = log_->pool_;
   if (overflow_) {
     return Status::ResourceExhausted("redo log area too small for commit");
@@ -1399,57 +1369,11 @@ Status RedoTx::CommitPipelined(uint64_t commit_ts, const DrainFn& drain) {
   // FlushBatch dedup set's work (the pending set holds exactly the unique
   // lines), so checksum upkeep costs no extra pool walks.
   pool->SealPending();
-  return Status::Ok();
-}
-
-Status RedoTx::CommitSerialized(uint64_t commit_ts, const DrainFn& drain) {
-  (void)drain;  // group commit is part of the pipeline; baseline drains solo
-  Pool* pool = log_->pool_;
-  if (kSegmentHeaderBytes + staged_bytes_ > log_->segment_size_) {
-    return Status::ResourceExhausted("redo log area too small for commit");
-  }
-  char* log = seg_;
-
-  // Phase 1: write entries and count, then persist them.
-  uint64_t pos = kSegmentHeaderBytes;
-  for (const Entry& e : entries_) {
-    std::memcpy(log + pos, &e.target, sizeof(e.target));
-    std::memcpy(log + pos + 8, &e.len, sizeof(e.len));
-    pos += 16;
-    std::memcpy(log + pos, e.data.data(), e.len);
-    pos += (e.len + 7) & ~7ull;
-  }
-  std::memcpy(log + 8, &commit_ts, sizeof(commit_ts));
-  uint64_t num_entries = entries_.size();
-  std::memcpy(log + 16, &num_entries, sizeof(num_entries));
-  uint64_t crc = SegmentCrc(log, pos);
-  std::memcpy(log + 24, &crc, sizeof(crc));
-  POOL_PSAN_MARK(pool->psan_.get(), log + 8, pos - 8);
-  pool->Persist(log + 8, pos - 8);
-
-  // Phase 2: 8-byte atomic commit marker.
-  uint64_t one = 1;
-  std::memcpy(log, &one, sizeof(one));
-  POOL_PSAN_PUBLISH(pool->psan_.get(), log, sizeof(one),
-                    log_->segment_offset(segment_) + 8, pos - 8);
-  pool->Persist(log, sizeof(one));
-
-  // Phase 3: apply to home locations and persist.
-  for (const Entry& e : entries_) {
-    AtomicStoreCopy(pool->base_ + e.target, e.data.data(), e.len);
-    POOL_PSAN_MARK(pool->psan_.get(), pool->base_ + e.target, e.len);
-    pool->Flush(pool->base_ + e.target, e.len);
-  }
-  pool->Drain();
-
-  // Phase 4: clear the marker.
-  uint64_t zero = 0;
-  std::memcpy(log, &zero, sizeof(zero));
-  POOL_PSAN_MARK(pool->psan_.get(), log, sizeof(zero));
-  pool->Persist(log, sizeof(zero));
-
-  // Commit boundary: reseal the lines this commit unsealed.
-  pool->SealPending();
+#ifdef POSEIDON_PSAN
+  // Commit boundary: every line this thread dirtied must have been flushed
+  // by now (phase 4 leaves lines FLUSHING, which is fine — DIRTY is not).
+  if (pool->psan_ != nullptr) pool->psan_->OnCommitBoundary();
+#endif
   return Status::Ok();
 }
 

@@ -57,14 +57,8 @@ struct PoolOptions {
   LatencyModel latency_override;
   /// Maintain a shadow copy so SimulateCrash() can drop unflushed stores.
   bool crash_shadow = false;
-  /// Commit-pipeline master switch: -1 = env POSEIDON_COMMIT_PIPELINE
-  /// (default on). Off reproduces the serialized baseline commit path:
-  /// strict Persist (flush+drain) on every metadata store, DRAM-staged redo
-  /// entries, a 4th drain clearing the commit marker, and no cache-line
-  /// flush coalescing.
-  int commit_pipeline = -1;
   /// Redo-log segment count: 0 = env POSEIDON_REDO_SEGMENTS (default 8,
-  /// clamped to [1, 64]). Forced to 1 when the commit pipeline is off.
+  /// clamped to [1, 64]).
   uint32_t redo_segments = 0;
 };
 
@@ -199,18 +193,10 @@ class Pool {
     Drain();
   }
 
-  /// Flush-or-Persist depending on the commit-pipeline mode. Pipelined:
-  /// metadata stores (allocator heads, occupancy bits, the timestamp
+  /// Metadata stores (allocator heads, occupancy bits, the timestamp
   /// high-water mark) are only *flushed* here; the next commit's redo drain
-  /// makes them durable before anything that depends on them. Serialized
-  /// baseline: full Persist, as the seed engine did.
-  void PersistDeferred(const void* addr, uint64_t len) {
-    if (pipelined_) {
-      Flush(addr, len);
-    } else {
-      Persist(addr, len);
-    }
-  }
+  /// makes them durable before anything that depends on them.
+  void PersistDeferred(const void* addr, uint64_t len) { Flush(addr, len); }
 
   /// Injects the PMem read latency for a read of [addr, addr+len).
   /// Storage-layer record accessors call this on their PMem-resident data.
@@ -237,13 +223,13 @@ class Pool {
   // --- Failure-atomic multi-word updates --------------------------------
 
   /// The pool's segmented redo log (see RedoLog). Concurrent commits use
-  /// independent segments; the serialized baseline (commit pipeline off)
-  /// runs with a single segment.
+  /// independent segments.
   RedoLog* redo_log() { return redo_log_.get(); }
 
-  /// True when the parallel commit pipeline is active (deferred metadata
-  /// drains, flush coalescing, 3-drain redo commits).
-  bool pipelined() const { return pipelined_; }
+  /// Always true: the parallel commit pipeline (deferred metadata drains,
+  /// flush coalescing, 3-drain redo commits) is the only commit path. Kept
+  /// because the repository benchmark's config block reads it.
+  bool pipelined() const { return true; }
 
   // --- Crash simulation ---------------------------------------------------
 
@@ -472,7 +458,6 @@ class Pool {
   PoolMode mode_ = PoolMode::kPmem;
   LatencyModel latency_;
   bool recovered_from_crash_ = false;
-  bool pipelined_ = true;
   /// Soft-watermark percent of capacity; 0 = disabled (seed behavior).
   std::atomic<uint32_t> soft_watermark_pct_{0};
 
@@ -610,7 +595,7 @@ class RedoTx {
   RedoTx& operator=(const RedoTx&) = delete;
 
   /// Stages `len` bytes to be written to pool offset `target` at commit.
-  /// Pipelined mode appends straight into the owned segment (no DRAM copy).
+  /// Appends straight into the owned segment (no DRAM copy).
   void Stage(Offset target, const void* data, uint64_t len);
 
   /// Convenience for single values.
@@ -627,27 +612,13 @@ class RedoTx {
   uint32_t segment() const { return segment_; }
 
  private:
-  Status CommitPipelined(uint64_t commit_ts, const DrainFn& drain);
-  Status CommitSerialized(uint64_t commit_ts, const DrainFn& drain);
-
-  // Serialized-baseline staging (the seed path): entries buffered in DRAM
-  // and copied into the log at commit.
-  struct Entry {
-    Offset target;
-    uint64_t len;
-    std::vector<char> data;
-  };
-
   RedoLog* log_;
   uint32_t segment_ = 0;
   char* seg_ = nullptr;       // segment base pointer
-  uint64_t pos_ = kRedoSegmentHeaderBytes;  // append cursor (pipelined)
+  uint64_t pos_ = kRedoSegmentHeaderBytes;  // append cursor
   uint64_t num_entries_ = 0;
   bool overflow_ = false;
   bool committed_ = false;
-  bool pipelined_ = true;
-  std::vector<Entry> entries_;  // serialized-baseline staging only
-  uint64_t staged_bytes_ = 0;
 };
 
 }  // namespace poseidon::pmem

@@ -275,32 +275,10 @@ Status PipelineExecutor::RunSourceRange(uint64_t begin, uint64_t end) {
       auto& table = ctx_.store->nodes();
       uint64_t slots = table.NumSlots();
       if (end > slots) end = slots;
-      if (!opts.batch_enabled) {
-        // Seed behaviour: slot-at-a-time occupancy probing, no prefetch.
-        for (uint64_t id = begin; id < end; ++id) {
-          if ((id & 63u) == 0) {
-            POSEIDON_RETURN_IF_ERROR(ctx_.tx->cancel_token()->Check());
-          }
-          if (!table.IsOccupied(id)) continue;
-          auto n = ctx_.tx->GetNode(id);
-          if (!n.ok()) {
-            if (n.status().IsNotFound()) continue;  // invisible to snapshot
-            return n.status();
-          }
-          if (src->label != kInvalidCode && n->rec.label != src->label) {
-            continue;
-          }
-          t.clear();
-          t.push_back(Value::Node(id));
-          Status s = Push(1, t);
-          if (!s.ok()) return s;
-        }
-        return Status::Ok();
-      }
-      // Batched fast path: gather occupied ids from the occupancy words
-      // (whole empty words skipped), then consume software-pipelined —
-      // the record `prefetch_distance` ahead is filling while the current
-      // one goes through the pipeline.
+      // Gather occupied ids from the occupancy words (whole empty words
+      // skipped), then consume software-pipelined — the record
+      // `prefetch_distance` ahead is filling while the current one goes
+      // through the pipeline.
       uint64_t cap = opts.batch_size == 0 ? 1 : opts.batch_size;
       std::vector<RecordId> ids(cap);
       uint64_t d = opts.prefetch_distance;
@@ -337,7 +315,7 @@ Status PipelineExecutor::RunSourceRange(uint64_t begin, uint64_t end) {
       }
       uint64_t n = source_matches_.size();
       if (end > n) end = n;
-      uint64_t d = opts.batch_enabled ? opts.prefetch_distance : 0;
+      uint64_t d = opts.prefetch_distance;
       auto& table = ctx_.store->nodes();
       for (uint64_t i = begin; i < end; ++i) {
         if ((i & 63u) == 0) {

@@ -160,8 +160,7 @@ const char* AggName(AggFn fn) {
 std::string AnnotationSuffix(const ExplainAnnotation* ann) {
   if (ann == nullptr) return "";
   std::string out = " [parallel=" + std::to_string(ann->threads) +
-                    ", morsel=" + std::to_string(ann->morsel) +
-                    ", batch=" + (ann->batch ? "on" : "off");
+                    ", morsel=" + std::to_string(ann->morsel);
   out += std::string(", rts=") + (ann->rts_coalesce ? "coalesced" : "eager") +
          " skip=" + std::to_string(ann->rts_skipped) +
          " defer=" + std::to_string(ann->rts_deferred);
@@ -310,6 +309,19 @@ const Op* Plan::Source() const {
   while (op != nullptr && op->input != nullptr) op = op->input.get();
   return op;
 }
+
+namespace {
+bool OpTreeWrites(const Op* op) {
+  if (op == nullptr) return false;
+  if (op->kind == OpKind::kCreateNode || op->kind == OpKind::kCreateRel ||
+      op->kind == OpKind::kSetProperty) {
+    return true;
+  }
+  return OpTreeWrites(op->input.get()) || OpTreeWrites(op->right.get());
+}
+}  // namespace
+
+bool Plan::HasWrites() const { return OpTreeWrites(root.get()); }
 
 PlanBuilder&& PlanBuilder::Push(std::unique_ptr<Op> op) && {
   op->input = std::move(chain_);

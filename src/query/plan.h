@@ -122,12 +122,10 @@ struct Op {
 };
 
 /// Execution-mode annotation for EXPLAIN output: how the engine would run
-/// the pipeline source (worker threads, morsel granularity, batched-scan
-/// kernels).
+/// the pipeline source (worker threads, morsel granularity).
 struct ExplainAnnotation {
   size_t threads = 0;
   uint64_t morsel = 0;
-  bool batch = false;
   /// DRAM adjacency cache state, rendered on Expand operators:
   /// `[adjcache=on hits=... misses=... inval=... evict=...]`. The counters
   /// are the engine-lifetime totals at EXPLAIN time.
@@ -187,10 +185,15 @@ struct Plan {
   /// The source operator of the main (left-most) pipeline.
   const Op* Source() const;
 
+  /// True when any operator of the tree, hash-join build sides included,
+  /// writes (kCreateNode / kCreateRel / kSetProperty): the plan needs a
+  /// read-write transaction.
+  bool HasWrites() const;
+
   /// Human-readable plan rendering (EXPLAIN). Labels and property keys are
   /// decoded through `dict` when provided, otherwise shown as codes. With
   /// `ann`, pipeline sources carry an execution-mode suffix:
-  ///   `[parallel=<n threads>, morsel=<size>, batch=<on|off>]`.
+  ///   `[parallel=<n threads>, morsel=<size>, rts=...]`.
   std::string ToString(const storage::Dictionary* dict = nullptr,
                        const ExplainAnnotation* ann = nullptr) const;
 };

@@ -1,9 +1,6 @@
-// Tuning knobs for the batched scan fast path (ablation surface).
-//
-// The batched kernels (ChunkedTable::ScanBatch / ForEachBatch, the JIT's
-// word-skip scan loop) and the software-prefetch depth are toggled here so
-// experiments can isolate each effect: batching off reproduces the seed's
-// slot-at-a-time behaviour, prefetch_distance 0 disables latency hiding
+// Tuning knobs for the batched scan kernels (ChunkedTable::ScanBatch /
+// ForEachBatch, the JIT's word-skip scan loop): the gather batch size and
+// the software-prefetch depth. prefetch_distance 0 disables latency hiding
 // while keeping the word-level skip test.
 
 #ifndef POSEIDON_STORAGE_SCAN_OPTIONS_H_
@@ -15,8 +12,6 @@
 namespace poseidon::storage {
 
 struct ScanOptions {
-  /// Use the occupancy-word batch kernels instead of slot-at-a-time probing.
-  bool batch_enabled = true;
   /// Records gathered per batch before the consumer loop runs. One batch is
   /// the unit of software pipelining; a morsel is split into batches.
   uint32_t batch_size = 256;
@@ -25,13 +20,9 @@ struct ScanOptions {
   uint32_t prefetch_distance = 4;
 
   /// Environment overrides for ablation sweeps without recompiling:
-  ///   POSEIDON_SCAN_BATCH=0|1, POSEIDON_SCAN_BATCH_SIZE,
-  ///   POSEIDON_SCAN_PREFETCH_DIST
+  ///   POSEIDON_SCAN_BATCH_SIZE, POSEIDON_SCAN_PREFETCH_DIST
   static ScanOptions FromEnv() {
     ScanOptions o;
-    if (const char* v = std::getenv("POSEIDON_SCAN_BATCH"); v && *v) {
-      o.batch_enabled = std::strtoull(v, nullptr, 10) != 0;
-    }
     if (const char* v = std::getenv("POSEIDON_SCAN_BATCH_SIZE"); v && *v) {
       uint64_t n = std::strtoull(v, nullptr, 10);
       if (n >= 1 && n <= 65536) o.batch_size = static_cast<uint32_t>(n);

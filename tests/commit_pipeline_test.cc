@@ -99,7 +99,6 @@ TEST(CommitPipelineTest, PipelinedCommitDrainsThriceAndCoalesces) {
   auto pool_r = Pool::CreateVolatile(32ull << 20);
   ASSERT_TRUE(pool_r.ok());
   Pool* pool = pool_r->get();
-  ASSERT_TRUE(pool->pipelined());
   auto a = pool->AllocateZeroed(64);
   ASSERT_TRUE(a.ok());
 
@@ -115,29 +114,6 @@ TEST(CommitPipelineTest, PipelinedCommitDrainsThriceAndCoalesces) {
       << "pipelined commit: entry drain, marker drain, apply drain — the "
          "marker clear is flushed but not drained";
   EXPECT_GT(pool->stats().deduped_lines, 0u);
-}
-
-TEST(CommitPipelineTest, SerializedBaselineKeepsFourDrains) {
-  PoolOptions o;
-  o.mode = PoolMode::kDram;
-  o.capacity = 32ull << 20;
-  o.commit_pipeline = 0;  // ablation baseline
-  auto pool_r = Pool::Create("", o);
-  ASSERT_TRUE(pool_r.ok());
-  Pool* pool = pool_r->get();
-  ASSERT_FALSE(pool->pipelined());
-  EXPECT_EQ(pool->redo_log()->num_segments(), 1u);
-  auto a = pool->AllocateZeroed(64);
-  ASSERT_TRUE(a.ok());
-
-  pool->ResetStats();
-  RedoTx tx(pool->redo_log());
-  uint64_t v = 7;
-  tx.StageValue(*a, v);
-  ASSERT_TRUE(tx.Commit(1).ok());
-  EXPECT_EQ(*pool->ToPtr<uint64_t>(*a), 7u);
-  EXPECT_EQ(pool->stats().drains, 4u) << "seed baseline: 4 drains/commit";
-  EXPECT_EQ(pool->stats().deduped_lines, 0u) << "baseline never coalesces";
 }
 
 // --- Segmented recovery ---------------------------------------------------

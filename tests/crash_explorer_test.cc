@@ -15,9 +15,15 @@
 // would interleave nondeterministic flushes into the point numbering) and
 // the workload is single-threaded, so run k is byte-identical to the dry run
 // up to point k.
+//
+// Sharding: the sweep is a value-parameterized test over kCrashShards
+// disjoint, contiguous crash-point ranges that together cover every point
+// of the dry run. tests/CMakeLists.txt registers one ctest entry per shard
+// (--gtest_filter on the instance), so the shards run in parallel.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -209,7 +215,71 @@ void ExtractRecovered(storage::GraphStore* store, TransactionManager* mgr,
   }
 }
 
-TEST(CrashExplorerTest, EveryCrashPointRecoversACommittedPrefix) {
+/// Number of crash-point shards; tests/CMakeLists.txt registers one ctest
+/// entry per shard and must use the same count.
+constexpr int kCrashShards = 8;
+
+/// Runs the workload with the durable image frozen at crash point k (1-based,
+/// relative to pool creation), simulates the power loss, recovers, and
+/// returns the index of the committed prefix the recovered state equals.
+/// Fails the test (fatally) when recovery is inconsistent or matches no
+/// prefix.
+void RecoverAtCrashPoint(uint64_t k, const std::vector<Model>& snapshots,
+                         size_t* match_out) {
+  auto pool = pmem::Pool::Create("", ExplorerPoolOptions());
+  ASSERT_TRUE(pool.ok());
+  DictCode person, tag_key, v_key;
+  {
+    auto store = storage::GraphStore::Create(pool->get());
+    ASSERT_TRUE(store.ok());
+    auto mgr = std::make_unique<TransactionManager>(store->get(), nullptr);
+    Workload w;
+    w.person = person = *(*store)->Code("Person");
+    w.knows = *(*store)->Code("KNOWS");
+    w.tag_key = tag_key = *(*store)->Code("tag");
+    w.v_key = v_key = *(*store)->Code("v");
+
+    pmem::FaultInjector* inj = (*pool)->fault_injector();
+    inj->ArmCrashPoint(inj->points_seen() + k);
+    std::vector<Model> rerun{Model{}};
+    RunWorkload(mgr.get(), &w, &rerun);
+    ASSERT_TRUE(inj->crash_fired()) << "point " << k << " never executed";
+    ASSERT_EQ(rerun.size(), snapshots.size())
+        << "the workload must be deterministic";
+    // DRAM state (manager, store maps) dies with the crash.
+  }
+
+  (*pool)->SimulateCrash();
+  (*pool)->redo_log()->Recover();
+  auto store = storage::GraphStore::Open(pool->get());
+  ASSERT_TRUE(store.ok())
+      << "crash point " << k << ": " << store.status().ToString();
+  TransactionManager mgr(store->get(), nullptr);
+  ASSERT_TRUE(mgr.RecoverInFlight().ok()) << "crash point " << k;
+
+  Model recovered;
+  ExtractRecovered(store->get(), &mgr, person, tag_key, v_key, &recovered);
+  if (::testing::Test::HasFatalFailure()) {
+    FAIL() << "consistency violation at crash point " << k;
+  }
+
+  size_t match = snapshots.size();
+  for (size_t j = 0; j < snapshots.size(); ++j) {
+    if (snapshots[j] == recovered) {
+      match = j;
+      break;
+    }
+  }
+  ASSERT_LT(match, snapshots.size())
+      << "crash point " << k << " recovered a state that is NOT any "
+      << "committed prefix (" << recovered.nodes.size() << " nodes, "
+      << recovered.edges.size() << " edges)";
+  *match_out = match;
+}
+
+class CrashExplorerSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(CrashExplorerSweep, EveryCrashPointRecoversACommittedPrefix) {
   // Deterministic point numbering: no background flush sources.
   setenv("POSEIDON_BG_GC", "0", 1);
   setenv("POSEIDON_GROUP_COMMIT", "0", 1);
@@ -238,71 +308,45 @@ TEST(CrashExplorerTest, EveryCrashPointRecoversACommittedPrefix) {
   ASSERT_GE(num_points, 50u)
       << "the workload must expose a meaningful crash surface";
 
-  // --- The sweep: crash at every point, recover, match a prefix. ---------
+  // --- This shard's slice of the sweep: points [first, last]. -----------
+  const int shard = GetParam();
+  const uint64_t first = 1 + shard * num_points / kCrashShards;
+  const uint64_t last = (shard + 1) * num_points / kCrashShards;
+  std::printf("crash shard %d/%d: points %llu..%llu (%llu of %llu)\n",
+              shard, kCrashShards, static_cast<unsigned long long>(first),
+              static_cast<unsigned long long>(last),
+              static_cast<unsigned long long>(last + 1 - first),
+              static_cast<unsigned long long>(num_points));
+
+  // Monotone prefixes across shard boundaries: replay the point just before
+  // this shard's range to seed last_prefix.
   size_t last_prefix = 0;
-  for (uint64_t k = 1; k <= num_points; ++k) {
-    auto pool = pmem::Pool::Create("", ExplorerPoolOptions());
-    ASSERT_TRUE(pool.ok());
-    DictCode person, tag_key, v_key;
-    {
-      auto store = storage::GraphStore::Create(pool->get());
-      ASSERT_TRUE(store.ok());
-      auto mgr =
-          std::make_unique<TransactionManager>(store->get(), nullptr);
-      Workload w;
-      w.person = person = *(*store)->Code("Person");
-      w.knows = *(*store)->Code("KNOWS");
-      w.tag_key = tag_key = *(*store)->Code("tag");
-      w.v_key = v_key = *(*store)->Code("v");
-
-      pmem::FaultInjector* inj = (*pool)->fault_injector();
-      inj->ArmCrashPoint(inj->points_seen() + k);
-      std::vector<Model> rerun{Model{}};
-      RunWorkload(mgr.get(), &w, &rerun);
-      ASSERT_TRUE(inj->crash_fired()) << "point " << k << " never executed";
-      ASSERT_EQ(rerun.size(), snapshots.size())
-          << "the workload must be deterministic";
-      // DRAM state (manager, store maps) dies with the crash.
-    }
-
-    (*pool)->SimulateCrash();
-    (*pool)->redo_log()->Recover();
-    auto store = storage::GraphStore::Open(pool->get());
-    ASSERT_TRUE(store.ok())
-        << "crash point " << k << ": " << store.status().ToString();
-    TransactionManager mgr(store->get(), nullptr);
-    ASSERT_TRUE(mgr.RecoverInFlight().ok()) << "crash point " << k;
-
-    Model recovered;
-    ExtractRecovered(store->get(), &mgr, person, tag_key, v_key, &recovered);
-    if (::testing::Test::HasFatalFailure()) {
-      FAIL() << "consistency violation at crash point " << k;
-    }
-
-    size_t match = snapshots.size();
-    for (size_t j = 0; j < snapshots.size(); ++j) {
-      if (snapshots[j] == recovered) {
-        match = j;
-        break;
-      }
-    }
-    ASSERT_LT(match, snapshots.size())
-        << "crash point " << k << " recovered a state that is NOT any "
-        << "committed prefix (" << recovered.nodes.size() << " nodes, "
-        << recovered.edges.size() << " edges)";
+  if (first > 1) {
+    RecoverAtCrashPoint(first - 1, snapshots, &last_prefix);
+    if (HasFatalFailure()) return;
+  }
+  for (uint64_t k = first; k <= last; ++k) {
+    size_t match = 0;
+    RecoverAtCrashPoint(k, snapshots, &match);
+    if (HasFatalFailure()) return;
     EXPECT_GE(match, last_prefix)
         << "crash point " << k << " lost transactions an earlier crash "
         << "point had already made durable";
     last_prefix = std::max(last_prefix, match);
   }
-  EXPECT_EQ(last_prefix, snapshots.size() - 1)
-      << "the final crash points must recover the complete workload";
-  // The whole crash sweep — every crash point, every recovery — ran under
-  // the persist-order sanitizer when this is a POSEIDON_PSAN build; the
+  if (shard == kCrashShards - 1) {
+    EXPECT_EQ(last_prefix, snapshots.size() - 1)
+        << "the final crash points must recover the complete workload";
+  }
+  // Every crash point and every recovery of this shard ran under the
+  // persist-order sanitizer when this is a POSEIDON_PSAN build; the
   // production write paths must never trip it. Always 0 in plain builds.
   EXPECT_EQ(pmem::PsanTotalViolations(), 0u)
       << "crash exploration surfaced a persist-ordering violation";
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, CrashExplorerSweep,
+                         ::testing::Range(0, kCrashShards));
 
 TEST(CrashExplorerTest, EnvVariableArmsCrashPoint) {
   // POSEIDON_CRASH_POINT drives whole-binary sweeps (the recovery bench):

@@ -10,6 +10,9 @@
 //     max_writers are in flight, and re-admits when a slot frees.
 //   * The pool's soft space watermark denies new writers (after emergency
 //     GC) while leaving reads and in-flight commits untouched.
+//   * GraphDb::Execute opens write plans through the same gate and
+//     watermark, and read plans as read-only transactions that commit
+//     without a drain.
 //   * A pmem.alloc fault sweep over a mixed insert/update workload: every
 //     injected allocation failure unwinds the transaction atomically
 //     (ResourceExhausted, no leaked records, pool reopenable, zero PSAN
@@ -251,6 +254,97 @@ TEST_F(OverloadTest, SoftWatermarkDeniesWritersButNotReaders) {
   auto admitted = db->BeginWrite();
   ASSERT_TRUE(admitted.ok());
   (*admitted)->Abort();
+}
+
+/// One-node insert: the smallest plan GraphDb::Execute must treat as a
+/// writer.
+Plan InsertPlan(GraphDb* db) {
+  return PlanBuilder()
+      .CreateNode(*db->Code("N"), {*db->Code("v")},
+                  {Expr::Literal(Value::Int(1))})
+      .Build();
+}
+
+TEST_F(OverloadTest, ExecuteShedsWritePlansAtTheAdmissionGate) {
+  auto db_or = GraphDb::Create(FastOptions(path_));
+  ASSERT_TRUE(db_or.ok());
+  GraphDb* db = db_or->get();
+  Plan insert = InsertPlan(db);
+  Plan count = PlanBuilder().NodeScan(*db->Code("N")).Count().Build();
+  db->txm()->set_max_writers(1);
+
+  auto held = db->BeginWrite();
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  uint64_t shed_before = db->Health().writers_shed;
+  auto r = db->Execute(insert);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
+  EXPECT_EQ(db->Health().writers_shed, shed_before + 1);
+
+  // A read plan is not a writer: it runs while the gate is full.
+  auto read = db->Execute(count);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->rows[0][0].AsInt(), 0);
+
+  (*held)->Abort();
+  auto admitted = db->Execute(insert);
+  ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
+  db->txm()->set_max_writers(0);
+  auto after = db->Execute(count);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->rows[0][0].AsInt(), 1);
+}
+
+TEST_F(OverloadTest, ExecuteAboveSoftWatermarkDeniesWritePlansOnly) {
+  auto options = FastOptions(path_);
+  options.capacity = 32ull << 20;
+  auto db_or = GraphDb::Create(options);
+  ASSERT_TRUE(db_or.ok());
+  GraphDb* db = db_or->get();
+  auto n_label = *db->Code("N");
+  auto v_key = *db->Code("v");
+  {
+    auto tx = db->Begin();
+    for (int i = 0; i < 5000; ++i) {
+      ASSERT_TRUE(tx->CreateNode(n_label, {{v_key, PVal::Int(i)}}).ok());
+    }
+    ASSERT_TRUE(tx->Commit().ok());
+  }
+  uint32_t pct = static_cast<uint32_t>(db->pool()->bytes_used() * 100 /
+                                       db->pool()->capacity());
+  ASSERT_GE(pct, 1u);
+  db->pool()->set_soft_watermark_pct(pct);
+  ASSERT_TRUE(db->pool()->AboveSoftWatermark());
+
+  uint64_t denied_before = db->Health().space_denied;
+  auto write = db->Execute(InsertPlan(db));
+  ASSERT_FALSE(write.ok());
+  EXPECT_TRUE(write.status().IsResourceExhausted())
+      << write.status().ToString();
+  EXPECT_GT(db->Health().space_denied, denied_before);
+
+  auto read = db->Execute(PlanBuilder().NodeScan(n_label).Count().Build());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->rows[0][0].AsInt(), 5000);
+  db->pool()->set_soft_watermark_pct(0);
+}
+
+TEST_F(OverloadTest, ReadOnlyExecuteCommitsWithoutDrains) {
+  auto db_or = GraphDb::Create(FastOptions(path_));
+  ASSERT_TRUE(db_or.ok());
+  GraphDb* db = db_or->get();
+  auto n_label = *db->Code("N");
+  ASSERT_TRUE(db->Execute(InsertPlan(db)).ok());
+  Plan count = PlanBuilder().NodeScan(n_label).Count().Build();
+
+  uint64_t before = db->pool()->stats().drains.load();
+  for (int i = 0; i < 3; ++i) {
+    auto r = db->Execute(count);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->rows[0][0].AsInt(), 1);
+  }
+  EXPECT_EQ(db->pool()->stats().drains.load(), before)
+      << "a read-only Execute persists no timestamp and runs no redo commit";
 }
 
 TEST_F(OverloadTest, AllocFaultSweepUnwindsCleanly) {

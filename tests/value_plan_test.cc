@@ -135,6 +135,26 @@ TEST(PlanTest, DirectionAndLabelsInSignature) {
             mk(Direction::kOut, 5).Signature());
 }
 
+TEST(PlanTest, HasWritesWalksTheWholeTree) {
+  EXPECT_FALSE(PlanBuilder().NodeScan(1).Count().Build().HasWrites());
+  EXPECT_TRUE(PlanBuilder().CreateNode(1, {}, {}).Build().HasWrites());
+  EXPECT_TRUE(PlanBuilder()
+                  .NodeScan(1)
+                  .SetProperty(0, 2, Expr::Literal(Value::Int(1)))
+                  .Build()
+                  .HasWrites());
+  // A write on the hash-join build side makes the whole plan a writer.
+  Plan build =
+      PlanBuilder().NodeScan(2).CreateRel(0, 0, 3, {}, {}).Build();
+  Plan join = PlanBuilder()
+                  .NodeScan(1)
+                  .HashJoin(std::move(build), 0, 0)
+                  .Count()
+                  .Build();
+  EXPECT_TRUE(join.HasWrites());
+  EXPECT_FALSE(Plan().HasWrites());
+}
+
 TEST(PlanTest, ToStringAnnotatesPipelineSources) {
   Plan p = PlanBuilder()
                .IndexRangeScan(7, 8, Expr::Literal(Value::Int(1)),
@@ -149,14 +169,11 @@ TEST(PlanTest, ToStringAnnotatesPipelineSources) {
   ExplainAnnotation ann;
   ann.threads = 4;
   ann.morsel = 2048;
-  ann.batch = true;
   std::string annotated = p.ToString(nullptr, &ann);
   EXPECT_NE(annotated.find(
-                "[parallel=4, morsel=2048, batch=on, rts=eager skip=0 defer=0]"),
+                "[parallel=4, morsel=2048, rts=eager skip=0 defer=0]"),
             std::string::npos);
-
-  ann.batch = false;
-  EXPECT_NE(p.ToString(nullptr, &ann).find("batch=off"), std::string::npos);
+  EXPECT_EQ(annotated.find("batch="), std::string::npos);
 
   // Only the pipeline source gets the suffix — exactly one occurrence, on
   // the scan line, and join build sides are excluded.
@@ -166,7 +183,6 @@ TEST(PlanTest, ToStringAnnotatesPipelineSources) {
                   .HashJoin(std::move(build), 0, 0)
                   .Count()
                   .Build();
-  ann.batch = true;
   std::string js = join.ToString(nullptr, &ann);
   size_t first = js.find("[parallel=");
   ASSERT_NE(first, std::string::npos);
