@@ -110,8 +110,9 @@ BENCHMARK_CAPTURE(BM_BlockRead, pieces_64B, 64);
 // Scan throughput of the chunked record table on emulated PMem:
 //   foreach           — classic per-slot loop (occupancy probe + read)
 //   batch_noprefetch  — ScanBatch kernel, word-level skip, no prefetch
-//   batch_prefetch    — ScanBatch + prefetch-ahead (distance 4): the modeled
-//                       block fill overlaps record processing
+//   batch_prefetch    — ScanBatch + block read-ahead (prefetch_distance 4:
+//                       2 blocks ahead): the modeled block fill overlaps
+//                       record processing
 // The dense variant fills every slot; the sparse variant occupies every
 // 64th slot so whole-word skipping dominates.
 

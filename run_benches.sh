@@ -37,7 +37,7 @@ if [ "${1:-}" = "--check" ]; then
   cmake --build /root/repo/build-tsan -j"$(nproc)" --target \
       concurrency_test mvto_test commit_pipeline_test tx_edge_test \
       adjacency_cache_test readpath_scaling_test overload_test \
-      jit_lifetime_test
+      jit_lifetime_test scan_kernel_test
   ctest --test-dir /root/repo/build-tsan -L tsan --output-on-failure
   ctest --test-dir /root/repo/build-tsan -L readpath --output-on-failure
   ctest --test-dir /root/repo/build-tsan -L overload --output-on-failure

@@ -32,6 +32,8 @@ constexpr uint64_t kRpcMask = 511;
 constexpr uint64_t kNodeHeaderBytes = storage::NodeTable::kHeaderBytes;
 constexpr uint64_t kRelHeaderBytes = storage::RelationshipTable::kHeaderBytes;
 constexpr uint64_t kPropHeaderBytes = storage::PropertyTable::kHeaderBytes;
+constexpr uint64_t kNodeBlocksPerChunk = storage::NodeTable::kBlocksPerChunk;
+constexpr uint64_t kBlockBytes = pmem::kPmemBlockSize;
 
 // JitHandle field offsets consumed by inline fast-path stores.
 static_assert(offsetof(JitHandle, rec) == 0);
@@ -48,6 +50,9 @@ static_assert(offsetof(JitStateHeader, rel_num_chunks) == 32);
 static_assert(offsetof(JitStateHeader, prop_num_chunks) == 40);
 static_assert(offsetof(JitStateHeader, ts) == 48);
 static_assert(offsetof(JitStateHeader, read_latency) == 56);
+static_assert(offsetof(JitStateHeader, cancellable) == 64);
+static_assert(offsetof(JitStateHeader, snapshot_reader) == 72);
+static_assert(offsetof(JitStateHeader, rts_deferred) == 80);
 static_assert(offsetof(JitRuntimeState, header) == 0);
 
 // CachedNeighbor layout streamed by the Expand fast path (24-byte stride).
@@ -133,13 +138,22 @@ class CodeGenerator {
 
   /// Resolves record `id` into handle `slot_ptr`. Inlines the paper's hot
   /// path: chunk addressing, occupancy bitmap, MVTO fast-path visibility
-  /// (unlocked latest committed version, rts bump + revalidation); all
-  /// other cases (locked, chain versions, write set) call the AOT helper.
+  /// (EmitFastPath); all other cases (locked, chain versions, write set)
+  /// call the AOT helper.
   /// Returns an i1 "visible". For relationships the handle is ALWAYS
   /// readable afterwards (chain pointers of invisible records); for nodes
   /// it is readable only when visible. Errors branch to ret_err_.
   llvm::Value* EmitRecordRef(bool is_node, llvm::Value* id,
                              llvm::Value* slot_ptr, uint32_t slot_idx);
+
+  /// MVTO fast-path check of the PMem record at `rec`: the latest committed
+  /// version is unlocked and visible at hdr_ts_. `in_window` emits the loads
+  /// that must come from that same version; then the rts UMax (skipped and
+  /// counted for shared-snapshot readers) and the seqlock re-check follow.
+  /// Ends in a branch to `ok_bb` (stable) or `slow_bb`.
+  void EmitFastPath(llvm::Value* rec, llvm::BasicBlock* ok_bb,
+                    llvm::BasicBlock* slow_bb,
+                    const std::function<void()>& in_window);
 
   /// Inline property lookup on a resolved handle: walks the PMem property
   /// chain in IR (snapshot versions fall back to the AOT helper). Returns
@@ -186,6 +200,8 @@ class CodeGenerator {
   llvm::Value* hdr_ts_ = nullptr;
   llvm::Value* hdr_has_latency_ = nullptr;  // i1
   llvm::Value* hdr_cancellable_ = nullptr;  // i1
+  llvm::Value* hdr_snapshot_ = nullptr;     // i1
+  llvm::Value* hdr_deferred_ = nullptr;     // i64*: this worker's counter
 
   llvm::BasicBlock* entry_ = nullptr;
   llvm::BasicBlock* ret_ok_ = nullptr;
@@ -352,7 +368,6 @@ llvm::Value* CodeGenerator::EmitRecordRef(bool is_node, llvm::Value* id,
 
   auto* addr_bb = NewBlock(std::string(tag) + ".addr");
   auto* occ_bb = NewBlock(std::string(tag) + ".occ");
-  auto* fast_bb = NewBlock(std::string(tag) + ".fast");
   auto* fill_bb = NewBlock(std::string(tag) + ".fill");
   auto* slow_bb = NewBlock(std::string(tag) + ".slow");
   auto* slow_ok_bb = NewBlock(std::string(tag) + ".slow_ok");
@@ -394,29 +409,9 @@ llvm::Value* CodeGenerator::EmitRecordRef(bool is_node, llvm::Value* id,
                     b().CreateMul(slotno, C64(rec_size))),
       "recptr");
   EmitTouch(rec, rec_size);
-  auto* txn = LoadField64Atomic(rec, storage::kOffsetOfTxnId);
-  auto* bts = LoadField64(rec, storage::kOffsetOfBts);
-  auto* ets = LoadField64(rec, storage::kOffsetOfEts);
-  auto* fast = b().CreateAnd(
-      b().CreateAnd(b().CreateICmpEQ(txn, C64(0)),
-                    b().CreateICmpNE(bts, C64(0))),
-      b().CreateAnd(b().CreateICmpULE(bts, hdr_ts_),
-                    b().CreateICmpULT(hdr_ts_, ets)));
-  b().CreateCondBr(fast, fast_bb, slow_bb);
-
-  // fast: rts bump (atomic umax, unflushed — §5.1) + revalidation.
-  b().SetInsertPoint(fast_bb);
-  auto* rts_addr = b().CreateBitCast(
-      b().CreateGEP(I8(), rec, C64(storage::kOffsetOfRts)),
-      llvm::Type::getInt64PtrTy(*context_));
-  b().CreateAtomicRMW(llvm::AtomicRMWInst::UMax, rts_addr, hdr_ts_,
-                      llvm::MaybeAlign(8),
-                      llvm::AtomicOrdering::AcquireRelease);
-  auto* txn2 = LoadField64Atomic(rec, storage::kOffsetOfTxnId);
-  auto* bts2 = LoadField64(rec, storage::kOffsetOfBts);
-  auto* stable = b().CreateAnd(b().CreateICmpEQ(txn2, C64(0)),
-                               b().CreateICmpEQ(bts2, bts));
-  b().CreateCondBr(stable, fill_bb, slow_bb);
+  llvm::Value* props = nullptr;
+  EmitFastPath(rec, fill_bb, slow_bb,
+               [&] { props = LoadField64(rec, props_off); });
 
   // fill: handle points at the live PMem record (no copy on the hot path).
   b().SetInsertPoint(fill_bb);
@@ -424,8 +419,7 @@ llvm::Value* CodeGenerator::EmitRecordRef(bool is_node, llvm::Value* id,
     auto* pp = b().CreateBitCast(slot_ptr, PtrTy()->getPointerTo());
     b().CreateStore(rec, pp);
     StoreField64(slot_ptr, offsetof(JitHandle, id), id);
-    StoreField64(slot_ptr, offsetof(JitHandle, props),
-                 LoadField64(rec, props_off));
+    StoreField64(slot_ptr, offsetof(JitHandle, props), props);
     StoreField32(slot_ptr, offsetof(JitHandle, has_snapshot), C32(0));
   }
   b().CreateBr(merge_bb);
@@ -452,6 +446,58 @@ llvm::Value* CodeGenerator::EmitRecordRef(bool is_node, llvm::Value* id,
   visible->addIncoming(vis_slow, slow_ok_bb);
   if (is_node) visible->addIncoming(b().getFalse(), miss_bb);
   return visible;
+}
+
+void CodeGenerator::EmitFastPath(llvm::Value* rec, llvm::BasicBlock* ok_bb,
+                                 llvm::BasicBlock* slow_bb,
+                                 const std::function<void()>& in_window) {
+  auto* window_bb = NewBlock("mvto.window");
+  auto* bump_bb = NewBlock("mvto.bump");
+  auto* check_bb = NewBlock("mvto.check");
+  auto* txn = LoadField64Atomic(rec, storage::kOffsetOfTxnId);
+  auto* bts = LoadField64(rec, storage::kOffsetOfBts);
+  auto* ets = LoadField64(rec, storage::kOffsetOfEts);
+  auto* fast = b().CreateAnd(
+      b().CreateAnd(b().CreateICmpEQ(txn, C64(0)),
+                    b().CreateICmpNE(bts, C64(0))),
+      b().CreateAnd(b().CreateICmpULE(bts, hdr_ts_),
+                    b().CreateICmpULT(hdr_ts_, ets)));
+  b().CreateCondBr(fast, window_bb, slow_bb);
+
+  b().SetInsertPoint(window_bb);
+  in_window();
+  if (llvm::isa<llvm::Constant>(hdr_snapshot_)) {
+    b().CreateBr(bump_bb);
+  } else {
+    // Shared-snapshot reader: no writer can ever probe rts below the
+    // published snapshot, so the bump is dead weight (GetRecord's rule).
+    // The skip is counted in this worker's own counter.
+    auto* deferred = b().CreateLoad(I64(), hdr_deferred_);
+    b().CreateStore(
+        b().CreateAdd(deferred, b().CreateZExt(hdr_snapshot_, I64())),
+        hdr_deferred_);
+    b().CreateCondBr(hdr_snapshot_, check_bb, bump_bb);
+  }
+
+  // rts bump: atomic umax, unflushed (§5.1).
+  b().SetInsertPoint(bump_bb);
+  auto* rts_addr = b().CreateBitCast(
+      b().CreateGEP(I8(), rec, C64(storage::kOffsetOfRts)),
+      llvm::Type::getInt64PtrTy(*context_));
+  b().CreateAtomicRMW(llvm::AtomicRMWInst::UMax, rts_addr, hdr_ts_,
+                      llvm::MaybeAlign(8),
+                      llvm::AtomicOrdering::AcquireRelease);
+  b().CreateBr(check_bb);
+
+  // Seqlock re-check: the window's loads saw one committed version, and no
+  // writer slipped in before the bump.
+  b().SetInsertPoint(check_bb);
+  b().CreateFence(llvm::AtomicOrdering::Acquire);
+  auto* txn2 = LoadField64Atomic(rec, storage::kOffsetOfTxnId);
+  auto* bts2 = LoadField64(rec, storage::kOffsetOfBts);
+  auto* stable = b().CreateAnd(b().CreateICmpEQ(txn2, C64(0)),
+                               b().CreateICmpEQ(bts2, bts));
+  b().CreateCondBr(stable, ok_bb, slow_bb);
 }
 
 CodeGenerator::Col CodeGenerator::EmitPropLoad(llvm::Value* slot_ptr,
@@ -965,19 +1011,103 @@ Status CodeGenerator::EmitPipeline(size_t i, llvm::BasicBlock* cont) {
   }
 }
 
-// Node-scan loop (mirrors ChunkedTable::ScanBatch): the outer loop walks
+// Two-stage NodeScan kernel (DESIGN.md "Scan kernel"; the interpreter's
+// PipelineExecutor::RunSourceRange runs the same schedule). Stage 1 walks
 // 64-bit occupancy words — one `bits != 0` test skips 64 empty slots — and
-// the inner loop extracts set bits with cttz. Before resolving a record the
-// next occupied record of the word is prefetched, and on entering a chunk
-// the next chunk's header is, so the emulated PMem fill overlaps the MVTO
-// visibility check and downstream operators.
+// extracts set bits with cttz. Per record it keeps the node table
+// PrefetchBlocks() 256 B blocks ahead (one prefetch per block), runs the
+// MVTO fast path and the label check, copies a matching record into the
+// group inside the fast path's seqlock window, and starts the fill of its
+// property-chain head. Stage 2 (the drain) runs the downstream pipeline once
+// per grouped record, reading the node from its copy, by which time the
+// property reads pay only the residual of a fill already in flight. The
+// group drains when it holds ScanGroup() records and the scan enters a new
+// node block, at word end, and before any slow-path record, which then goes
+// through the same downstream code alone, as a group of one.
+//
+// The record loop is a small state machine: every path returns to its
+// header, which dispatches on `action` (next record, resolve the held
+// record, drain, slow-path call). The drain and the downstream pipeline are
+// emitted once, and the control flow stays reducible, so the optimizer
+// sees ordinary nested loops.
 Status CodeGenerator::EmitNodeScanSource() {
   const Op* src = ops_[0];
+  const bool prefetch = scan_.prefetch_distance != 0;
+  const uint64_t group_size = scan_.ScanGroup();
+  // Hard bound on deferred records; without prefetching nothing is gained
+  // by deferring, so every group holds one record.
+  const uint64_t group_cap = prefetch ? pmem::kPrefetchSlots : 1;
+  const uint64_t blocks_ahead = scan_.PrefetchBlocks();
+  constexpr uint64_t kRecBytes = sizeof(storage::NodeRecord);
+  enum : uint32_t { kNext = 0, kResolve, kDrain, kSlowCall };
+
   llvm::IRBuilder<> eb(entry_, entry_->begin());
   auto* w_addr = eb.CreateAlloca(eb.getInt64Ty(), nullptr, "scan.w");
   auto* bits_addr = eb.CreateAlloca(eb.getInt64Ty(), nullptr, "scan.bits");
+  auto* id_addr = eb.CreateAlloca(eb.getInt64Ty(), nullptr, "scan.id");
+  auto* rec_addr = eb.CreateAlloca(eb.getInt8PtrTy(), nullptr, "scan.rec");
+  auto* block_addr = eb.CreateAlloca(eb.getInt64Ty(), nullptr, "scan.block");
+  auto* next_pf_addr = eb.CreateAlloca(eb.getInt64Ty(), nullptr, "scan.pf");
+  auto* action_addr = eb.CreateAlloca(eb.getInt32Ty(), nullptr, "scan.act");
+  auto* after_addr = eb.CreateAlloca(eb.getInt32Ty(), nullptr, "scan.after");
+  auto* grouped_addr = eb.CreateAlloca(eb.getInt64Ty(), nullptr, "grp.n");
+  auto* k_addr = eb.CreateAlloca(eb.getInt64Ty(), nullptr, "grp.k");
+  auto* ids_ty = llvm::ArrayType::get(I64(), group_cap);
+  auto* ids = eb.CreateAlloca(ids_ty, nullptr, "grp.ids");
+  auto* snaps_ty = llvm::ArrayType::get(I32(), group_cap);
+  auto* snaps = eb.CreateAlloca(snaps_ty, nullptr, "grp.snap");
+  auto* recs_ty = llvm::ArrayType::get(
+      llvm::ArrayType::get(I64(), kRecBytes / 8), group_cap);
+  auto* recs = eb.CreateAlloca(recs_ty, nullptr, "grp.recs");
+  recs->setAlignment(llvm::Align(8));
   auto [slot, slot_idx] = AllocHandle();
   handle_ptrs_[slot_idx] = slot;
+
+  auto id_at = [&](llvm::Value* k) {
+    return b().CreateGEP(ids_ty, ids, {C64(0), k});
+  };
+  auto snap_at = [&](llvm::Value* k) {
+    return b().CreateGEP(snaps_ty, snaps, {C64(0), k});
+  };
+  auto rec_at = [&](llvm::Value* k) {
+    return b().CreateBitCast(b().CreateGEP(recs_ty, recs, {C64(0), k, C64(0)}),
+                             PtrTy());
+  };
+  // Table-wide 256 B block of node slot `id` (NodeTable::BlockOf).
+  auto block_of = [&](llvm::Value* id) {
+    auto* in_chunk = b().CreateAdd(
+        C64(kNodeHeaderBytes),
+        b().CreateMul(b().CreateAnd(id, C64(kRpcMask)), C64(kRecBytes)));
+    return b().CreateAdd(
+        b().CreateMul(b().CreateLShr(id, C64(kRpcShift)),
+                      C64(kNodeBlocksPerChunk)),
+        b().CreateLShr(in_chunk, C64(8)));
+  };
+
+  auto* whead = NewBlock("scan.whead");
+  auto* wbody = NewBlock("scan.wbody");
+  auto* wend = NewBlock("scan.wend");
+  auto* wlatch = NewBlock("scan.wlatch");
+  auto* bhead = NewBlock("scan.bhead");
+  auto* next = NewBlock("scan.next");
+  auto* bbody = NewBlock("scan.bbody");
+  auto* newblk = NewBlock("scan.newblock");
+  auto* resolve = NewBlock("scan.resolve");
+  auto* fast_ok = NewBlock("scan.fast");
+  auto* push = NewBlock("grp.push");
+  auto* slow = NewBlock("scan.slow");
+  auto* slow_call = NewBlock("scan.slowcall");
+  auto* drain = NewBlock("drain");
+  auto* dhead = NewBlock("drain.head");
+  auto* dbody = NewBlock("drain.body");
+  auto* dlatch = NewBlock("drain.latch");
+  auto* dexit = NewBlock("drain.exit");
+  // Leaves a state-machine step: `now` runs next, then `later`.
+  auto dispatch = [&](uint32_t now, uint32_t later) {
+    b().CreateStore(C32(now), action_addr);
+    b().CreateStore(C32(later), after_addr);
+    b().CreateBr(bhead);
+  };
 
   // Occupancy words covering [begin, end): w in [begin>>6, (end+63)>>6).
   // Morsel bounds are multiples of 64 in practice; partial first/last words
@@ -989,14 +1119,20 @@ Status CodeGenerator::EmitNodeScanSource() {
   auto* w_cap = b().CreateShl(hdr_node_nc_, C64(3));  // 8 words per chunk
   auto* w_end = b().CreateSelect(b().CreateICmpULT(w_end_raw, w_cap),
                                  w_end_raw, w_cap, "w.end");
+  // The read-ahead stops at the block holding the range's last slot.
+  auto* slot_cap = b().CreateShl(hdr_node_nc_, C64(kRpcShift));
+  auto* end_c = b().CreateSelect(b().CreateICmpULT(arg_end_, slot_cap),
+                                 arg_end_, slot_cap);
+  auto* end_block = b().CreateSelect(
+      b().CreateICmpUGT(end_c, arg_begin_),
+      b().CreateAdd(block_of(b().CreateSub(end_c, C64(1))), C64(1)), C64(0),
+      "pf.end");
   b().CreateStore(w_begin, w_addr);
-
-  auto* whead = NewBlock("scan.whead");
-  auto* wbody = NewBlock("scan.wbody");
-  auto* wlatch = NewBlock("scan.wlatch");
-  auto* bhead = NewBlock("scan.bhead");
-  auto* bbody = NewBlock("scan.bbody");
-  auto* blatch = NewBlock("scan.blatch");
+  b().CreateStore(C64(~0ull), block_addr);
+  b().CreateStore(C64(0), next_pf_addr);
+  b().CreateStore(C64(0), grouped_addr);
+  b().CreateStore(C32(kNext), action_addr);
+  b().CreateStore(C32(kNext), after_addr);
   b().CreateBr(whead);
 
   b().SetInsertPoint(whead);
@@ -1005,27 +1141,12 @@ Status CodeGenerator::EmitNodeScanSource() {
 
   // wbody: load the word, mask the partial first/last words of the morsel,
   // skip the whole word when nothing survives. Cancellation poll once per
-  // occupancy word (64 slots).
+  // occupancy word (64 slots); the group is always empty here.
   b().SetInsertPoint(wbody);
   EmitCancelPoll("scan");
   auto* chunk = b().CreateLShr(w, C64(3), "chunk");  // 8 words per chunk
   auto* base = b().CreateLoad(
       PtrTy(), b().CreateGEP(PtrTy(), hdr_node_chunks_, chunk), "chunk_base");
-  if (scan_.prefetch_distance != 0) {
-    // First word of a chunk: prefetch the next chunk's header.
-    auto* at_start = b().CreateICmpEQ(b().CreateAnd(w, C64(7)), C64(0));
-    auto* next_chunk = b().CreateAdd(chunk, C64(1));
-    auto* have_next = b().CreateICmpULT(next_chunk, hdr_node_nc_);
-    auto* pf_bb = NewBlock("scan.pfhdr");
-    auto* pf_cont = NewBlock("scan.pfhdr.cont");
-    b().CreateCondBr(b().CreateAnd(at_start, have_next), pf_bb, pf_cont);
-    b().SetInsertPoint(pf_bb);
-    auto* next_base = b().CreateLoad(
-        PtrTy(), b().CreateGEP(PtrTy(), hdr_node_chunks_, next_chunk));
-    EmitPrefetch(next_base, kNodeHeaderBytes);
-    b().CreateBr(pf_cont);
-    b().SetInsertPoint(pf_cont);
-  }
   auto* word_addr = b().CreateGEP(
       I8(), base,
       b().CreateAdd(C64(16), b().CreateShl(b().CreateAnd(w, C64(7)), C64(3))));
@@ -1046,58 +1167,221 @@ Status CodeGenerator::EmitNodeScanSource() {
   b().CreateStore(bits0, bits_addr);
   b().CreateCondBr(b().CreateICmpEQ(bits0, C64(0)), wlatch, bhead);
 
+  // bhead: the record loop's only header.
   b().SetInsertPoint(bhead);
-  auto* bits = b().CreateLoad(I64(), bits_addr);
-  b().CreateCondBr(b().CreateICmpEQ(bits, C64(0)), wlatch, bbody);
+  auto* action = b().CreateLoad(I32(), action_addr, "action");
+  b().CreateStore(C32(kNext), action_addr);
+  auto* sw = b().CreateSwitch(action, next, 3);
+  sw->addCase(b().getInt32(kResolve), resolve);
+  sw->addCase(b().getInt32(kDrain), drain);
+  sw->addCase(b().getInt32(kSlowCall), slow_call);
 
+  b().SetInsertPoint(next);
+  auto* bits = b().CreateLoad(I64(), bits_addr);
+  b().CreateCondBr(b().CreateICmpEQ(bits, C64(0)), wend, bbody);
+
+  // bbody: next occupied slot of the word; on entering a new node block,
+  // top up the read-ahead and drain a full group first.
   b().SetInsertPoint(bbody);
   auto* tz = b().CreateIntrinsic(llvm::Intrinsic::cttz, {I64()},
                                  {bits, b().getInt1(true)});
   auto* id = b().CreateOr(word_base, tz, "id");
-  auto* rest = b().CreateAnd(bits, b().CreateSub(bits, C64(1)));
-  b().CreateStore(rest, bits_addr);
-  if (scan_.prefetch_distance != 0) {
-    // Prefetch the next occupied record of this word before the current
-    // one's (latency-charged) resolution.
-    auto* pf_bb = NewBlock("scan.pfrec");
-    auto* pf_cont = NewBlock("scan.pfrec.cont");
-    b().CreateCondBr(b().CreateICmpNE(rest, C64(0)), pf_bb, pf_cont);
+  b().CreateStore(b().CreateAnd(bits, b().CreateSub(bits, C64(1))),
+                  bits_addr);
+  b().CreateStore(id, id_addr);
+  auto* slotno = b().CreateAnd(id, C64(kRpcMask));
+  b().CreateStore(
+      b().CreateGEP(I8(), base,
+                    b().CreateAdd(C64(kNodeHeaderBytes),
+                                  b().CreateMul(slotno, C64(kRecBytes)))),
+      rec_addr);
+  auto* block = block_of(id);
+  auto* is_new = b().CreateICmpNE(block, b().CreateLoad(I64(), block_addr));
+  b().CreateCondBr(is_new, newblk, resolve);
+
+  b().SetInsertPoint(newblk);
+  b().CreateStore(block, block_addr);
+  if (prefetch) {
+    auto* pf_head = NewBlock("scan.pf.head");
+    auto* pf_body = NewBlock("scan.pf.body");
+    auto* pf_done = NewBlock("scan.pf.done");
+    auto* from = b().CreateLoad(I64(), next_pf_addr);
+    b().CreateStore(
+        b().CreateSelect(b().CreateICmpULT(from, block), block, from),
+        next_pf_addr);
+    auto* want = b().CreateAdd(block, C64(blocks_ahead + 1));
+    auto* stop = b().CreateSelect(b().CreateICmpULT(want, end_block), want,
+                                  end_block, "pf.stop");
+    b().CreateBr(pf_head);
+    b().SetInsertPoint(pf_head);
+    auto* nxt = b().CreateLoad(I64(), next_pf_addr);
+    b().CreateCondBr(b().CreateICmpULT(nxt, stop), pf_body, pf_done);
+    b().SetInsertPoint(pf_body);
+    auto* pf_base = b().CreateLoad(
+        PtrTy(), b().CreateGEP(PtrTy(), hdr_node_chunks_,
+                               b().CreateUDiv(nxt, C64(kNodeBlocksPerChunk))));
+    EmitPrefetch(
+        b().CreateGEP(I8(), pf_base,
+                      b().CreateMul(b().CreateURem(nxt, C64(kNodeBlocksPerChunk)),
+                                    C64(kBlockBytes))),
+        kBlockBytes);
+    b().CreateStore(b().CreateAdd(nxt, C64(1)), next_pf_addr);
+    b().CreateBr(pf_head);
+    b().SetInsertPoint(pf_done);
+  }
+  auto* full = b().CreateICmpUGE(b().CreateLoad(I64(), grouped_addr),
+                                 C64(group_size));
+  auto* drain_full = NewBlock("grp.full");
+  b().CreateCondBr(full, drain_full, resolve);
+  b().SetInsertPoint(drain_full);
+  dispatch(kDrain, kResolve);
+
+  // resolve: touch, MVTO fast path, label check; a matching record is
+  // copied into the group slot inside the seqlock window.
+  b().SetInsertPoint(resolve);
+  auto* rec = b().CreateLoad(PtrTy(), rec_addr, "recptr");
+  EmitTouch(rec, kRecBytes);
+  llvm::Value* match = b().getTrue();
+  EmitFastPath(rec, fast_ok, slow, [&] {
+    auto* dst = rec_at(b().CreateLoad(I64(), grouped_addr));
+    if (src->label == storage::kInvalidCode) {
+      b().CreateMemCpy(dst, llvm::Align(8), rec, llvm::Align(8), kRecBytes);
+      return;
+    }
+    match = b().CreateICmpEQ(LoadLabel(rec), C32(src->label));
+    auto* copy_bb = NewBlock("grp.copy");
+    auto* join_bb = NewBlock("grp.copied");
+    b().CreateCondBr(match, copy_bb, join_bb);
+    b().SetInsertPoint(copy_bb);
+    b().CreateMemCpy(dst, llvm::Align(8), rec, llvm::Align(8), kRecBytes);
+    b().CreateBr(join_bb);
+    b().SetInsertPoint(join_bb);
+  });
+
+  b().SetInsertPoint(fast_ok);
+  b().CreateCondBr(match, push, bhead);
+
+  // push: the record joins the group; its property-chain head starts
+  // filling.
+  b().SetInsertPoint(push);
+  auto* g = b().CreateLoad(I64(), grouped_addr);
+  b().CreateStore(b().CreateLoad(I64(), id_addr), id_at(g));
+  b().CreateStore(C32(0), snap_at(g));
+  auto* g1 = b().CreateAdd(g, C64(1));
+  b().CreateStore(g1, grouped_addr);
+  if (prefetch) {
+    auto* head = LoadField64(rec_at(g), storage::kOffsetOfNodeProps);
+    auto* pchunk = b().CreateLShr(head, C64(kRpcShift));
+    auto* have = b().CreateAnd(b().CreateICmpNE(head, C64(kNullId)),
+                               b().CreateICmpULT(pchunk, hdr_prop_nc_));
+    auto* pf_bb = NewBlock("grp.pfprops");
+    auto* pf_cont = NewBlock("grp.pfprops.cont");
+    b().CreateCondBr(have, pf_bb, pf_cont);
     b().SetInsertPoint(pf_bb);
-    auto* ntz = b().CreateIntrinsic(llvm::Intrinsic::cttz, {I64()},
-                                    {rest, b().getInt1(true)});
-    auto* nslot = b().CreateAnd(b().CreateOr(word_base, ntz), C64(kRpcMask));
-    auto* nrec = b().CreateGEP(
-        I8(), base,
-        b().CreateAdd(C64(kNodeHeaderBytes),
-                      b().CreateMul(nslot,
-                                    C64(sizeof(storage::NodeRecord)))));
-    EmitPrefetch(nrec, sizeof(storage::NodeRecord));
+    auto* pbase = b().CreateLoad(
+        PtrTy(), b().CreateGEP(PtrTy(), hdr_prop_chunks_, pchunk));
+    EmitPrefetch(
+        b().CreateGEP(I8(), pbase,
+                      b().CreateAdd(C64(kPropHeaderBytes),
+                                    b().CreateMul(b().CreateAnd(head,
+                                                                C64(kRpcMask)),
+                                                  C64(64)))),
+        64);
     b().CreateBr(pf_cont);
     b().SetInsertPoint(pf_cont);
   }
-  auto* visible = EmitRecordRef(/*is_node=*/true, id, slot, slot_idx);
-  auto* check = NewBlock("scan.check");
-  b().CreateCondBr(visible, check, blatch);
-  b().SetInsertPoint(check);
-  if (src->label != storage::kInvalidCode) {
-    auto* rec = LoadRec(slot);
-    auto* match = b().CreateICmpEQ(LoadLabel(rec), C32(src->label));
-    auto* process = NewBlock("scan.process");
-    b().CreateCondBr(match, process, blatch);
-    b().SetInsertPoint(process);
-  }
-  cols_.clear();
-  cols_.push_back(
-      Col{id, CKind(Value::Kind::kNode), static_cast<int>(slot_idx)});
-  POSEIDON_RETURN_IF_ERROR(EmitPipeline(1, blatch));
+  auto* drain_cap = NewBlock("grp.cap");
+  b().CreateCondBr(b().CreateICmpEQ(g1, C64(group_cap)), drain_cap, bhead);
+  b().SetInsertPoint(drain_cap);
+  dispatch(kDrain, kNext);
 
-  b().SetInsertPoint(blatch);
+  // slow: write set, version chains, locks, uncommitted inserts — after
+  // the records ahead of it have left.
+  b().SetInsertPoint(slow);
+  auto* pending = b().CreateICmpNE(b().CreateLoad(I64(), grouped_addr), C64(0));
+  b().CreateStore(b().CreateSelect(pending, C32(kDrain), C32(kSlowCall)),
+                  action_addr);
+  b().CreateStore(C32(kSlowCall), after_addr);
   b().CreateBr(bhead);
+
+  b().SetInsertPoint(slow_call);
+  auto* sid = b().CreateLoad(I64(), id_addr);
+  auto* r = b().CreateCall(
+      h_node_ref_, {arg_state_, sid, slot, arg_thread_, C32(slot_idx)});
+  auto* slow_ok = NewBlock("scan.slow_ok");
+  b().CreateCondBr(b().CreateICmpSLT(r, C32(0)), ret_err_, slow_ok);
+  b().SetInsertPoint(slow_ok);
+  auto* slow_vis = NewBlock("scan.slow_vis");
+  b().CreateCondBr(b().CreateICmpEQ(r, C32(1)), slow_vis, bhead);
+  b().SetInsertPoint(slow_vis);
+  if (src->label != storage::kInvalidCode) {
+    auto* lmatch = b().CreateICmpEQ(LoadLabel(LoadRec(slot)), C32(src->label));
+    auto* slow_push = NewBlock("scan.slow_push");
+    b().CreateCondBr(lmatch, slow_push, bhead);
+    b().SetInsertPoint(slow_push);
+  }
+  // A group of one: the version the helper resolved (its snapshot
+  // properties stay in the handle slot's storage).
+  b().CreateStore(sid, id_at(C64(0)));
+  b().CreateMemCpy(rec_at(C64(0)), llvm::Align(8), LoadRec(slot),
+                   llvm::Align(8), kRecBytes);
+  b().CreateStore(LoadField32(slot, offsetof(JitHandle, has_snapshot)),
+                  snap_at(C64(0)));
+  b().CreateStore(C64(1), grouped_addr);
+  dispatch(kDrain, kNext);
+
+  // wend: the group never outlives its occupancy word.
+  b().SetInsertPoint(wend);
+  auto* drain_word = NewBlock("grp.word");
+  b().CreateCondBr(
+      b().CreateICmpNE(b().CreateLoad(I64(), grouped_addr), C64(0)),
+      drain_word, wlatch);
+  b().SetInsertPoint(drain_word);
+  dispatch(kDrain, kNext);
 
   b().SetInsertPoint(wlatch);
   auto* wcur = b().CreateLoad(I64(), w_addr);
   b().CreateStore(b().CreateAdd(wcur, C64(1)), w_addr);
   b().CreateBr(whead);
+
+  // Stage 2: run the downstream pipeline once per grouped record. The
+  // handle points at the group copy (a DRAM snapshot of the version stage 1
+  // validated), so late field reads stay snapshot-exact.
+  b().SetInsertPoint(drain);
+  b().CreateStore(C64(0), k_addr);
+  b().CreateBr(dhead);
+
+  b().SetInsertPoint(dhead);
+  auto* k = b().CreateLoad(I64(), k_addr, "grp.k");
+  b().CreateCondBr(
+      b().CreateICmpULT(k, b().CreateLoad(I64(), grouped_addr)), dbody, dexit);
+
+  b().SetInsertPoint(dbody);
+  auto* kid = b().CreateLoad(I64(), id_at(k), "grp.id");
+  {
+    auto* copy = rec_at(k);
+    auto* pp = b().CreateBitCast(slot, PtrTy()->getPointerTo());
+    b().CreateStore(copy, pp);
+    StoreField64(slot, offsetof(JitHandle, id), kid);
+    StoreField64(slot, offsetof(JitHandle, props),
+                 LoadField64(copy, storage::kOffsetOfNodeProps));
+    StoreField32(slot, offsetof(JitHandle, has_snapshot),
+                 b().CreateLoad(I32(), snap_at(k)));
+  }
+  cols_.clear();
+  cols_.push_back(
+      Col{kid, CKind(Value::Kind::kNode), static_cast<int>(slot_idx)});
+  POSEIDON_RETURN_IF_ERROR(EmitPipeline(1, dlatch));
+
+  b().SetInsertPoint(dlatch);
+  auto* kcur = b().CreateLoad(I64(), k_addr);
+  b().CreateStore(b().CreateAdd(kcur, C64(1)), k_addr);
+  b().CreateBr(dhead);
+
+  b().SetInsertPoint(dexit);
+  b().CreateStore(C64(0), grouped_addr);
+  b().CreateStore(b().CreateLoad(I32(), after_addr), action_addr);
+  b().CreateBr(bhead);
   return Status::Ok();
 }
 
@@ -1238,6 +1522,7 @@ Result<CodegenResult> CodeGenerator::Generate() {
   ret_ok_ = NewBlock("ret.ok");
   ret_stop_ = NewBlock("ret.stop");
   ret_err_ = NewBlock("ret.err");
+
   {
     llvm::IRBuilder<> rb(ret_ok_);
     rb.CreateRet(rb.getInt32(0));
@@ -1278,6 +1563,16 @@ Result<CodegenResult> CodeGenerator::Generate() {
   hdr_ts_ = load_hdr_u64(48);
   hdr_has_latency_ = b().CreateICmpNE(load_hdr_u64(56), C64(0));
   hdr_cancellable_ = b().CreateICmpNE(load_hdr_u64(64), C64(0));
+  // Plans that write never run under a shared-snapshot (read-only)
+  // transaction, so their record refs keep the plain bump path.
+  hdr_snapshot_ = plan_.HasWrites()
+                      ? static_cast<llvm::Value*>(b().getFalse())
+                      : b().CreateICmpNE(load_hdr_u64(72), C64(0));
+  hdr_deferred_ = b().CreateGEP(
+      I64(),
+      b().CreateBitCast(load_hdr_ptr(80), llvm::Type::getInt64PtrTy(*context_)),
+      b().CreateMul(b().CreateZExt(arg_thread_, I64()),
+                    C64(kCounterStride)));
 
   std::function<void(const Op*)> collect = [&](const Op* op) {
     if (op == nullptr) return;

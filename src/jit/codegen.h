@@ -47,12 +47,21 @@ struct CodegenResult {
   uint32_t num_handle_slots = 0;
 };
 
+/// Version of the code the generator emits and of the runtime ABI it
+/// relies on (JitStateHeader layout, helper signatures, scan-loop shape).
+/// Part of the compiled-code cache key, so a persistent code cache written
+/// by an older generator never serves stale object code. Bump it whenever
+/// generated code changes meaning.
+inline constexpr uint32_t kCodegenAbiVersion = 2;
+
 /// Generates the IR module for `plan`. `function_name` must be unique per
 /// module (the engine derives it from the plan signature hash). The
-/// node-scan source iterates occupancy bitmap words (whole-word skip test,
-/// cttz bit extraction); `scan` sets whether it issues software prefetches
-/// for the next occupied record and the next chunk header, so the scan knobs
-/// are part of the compiled-code cache key.
+/// node-scan source is the two-stage kernel (DESIGN.md "Scan kernel"): it
+/// walks occupancy bitmap words (whole-word skip test, cttz bit
+/// extraction), defers label-matching fast-path records in a small group
+/// while their property-chain heads fill, then runs the downstream pipeline
+/// per grouped record. `scan` sets the block read-ahead and the group size,
+/// so the scan knobs are part of the compiled-code cache key.
 ///
 /// `adj_cache` bakes the DRAM adjacency-cache fast path into every kExpand:
 /// a per-node poseidon_expand_cached probe plus a DRAM array loop, with the

@@ -127,8 +127,17 @@ Result<std::unique_ptr<JitEngine>> JitEngine::Create(QueryCache* cache) {
 
 uint64_t JitEngine::QueryIdFor(const query::Plan& plan,
                                const JitOptions& options) {
+  return QueryIdFor(plan, options, kCodegenAbiVersion);
+}
+
+uint64_t JitEngine::QueryIdFor(const query::Plan& plan,
+                               const JitOptions& options,
+                               uint32_t abi_version) {
   uint64_t id =
       HashCombine(HashString(plan.Signature()), options.optimize ? 1 : 2);
+  // Object code from another generator version may assume another header
+  // layout or scan loop: the version keys the cache like the knobs below.
+  id = HashCombine(id, abi_version);
   // The scan knobs are codegen inputs (they change the emitted loop), so
   // they participate in the cache key.
   id = HashCombine(id, options.scan.batch_size);

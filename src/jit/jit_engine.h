@@ -95,9 +95,13 @@ class JitEngine {
                                       const JitOptions& options = {});
   Result<CompiledQuery> FinishCompile(PendingCompile pending);
 
-  /// Stable identifier of (plan, options) — the compiled-code cache key.
+  /// Stable identifier of (plan, options, kCodegenAbiVersion) — the
+  /// compiled-code cache key.
   static uint64_t QueryIdFor(const query::Plan& plan,
                              const JitOptions& options);
+  /// The key as a generator of version `abi_version` computes it.
+  static uint64_t QueryIdFor(const query::Plan& plan,
+                             const JitOptions& options, uint32_t abi_version);
 
   QueryCache* cache() const { return cache_; }
 

@@ -10,46 +10,6 @@ using query::QueryResult;
 
 namespace {
 
-constexpr uint32_t kMaxHandleSlots = 64;
-
-/// Builds the shared runtime state for one execution.
-std::unique_ptr<JitRuntimeState> MakeState(const query::Plan& plan,
-                                           query::ExecContext ctx,
-                                           query::ResultCollector* collector,
-                                           PipelineExecutor* exec,
-                                           size_t num_threads) {
-  auto state = std::make_unique<JitRuntimeState>();
-  const auto& nodes = ctx.store->nodes();
-  const auto& rels = ctx.store->relationships();
-  const auto& props = *ctx.store->properties().table();
-  state->header.node_chunks = nodes.chunk_ptr_array();
-  state->header.rel_chunks = rels.chunk_ptr_array();
-  state->header.prop_chunks = props.chunk_ptr_array();
-  state->header.node_num_chunks = nodes.num_chunks();
-  state->header.rel_num_chunks = rels.num_chunks();
-  state->header.prop_num_chunks = props.num_chunks();
-  state->header.ts = ctx.tx->id();
-  state->header.read_latency = ctx.store->pool()->latency().read_block_ns;
-  // The token always exists, and an explicit Cancel may arrive at any time,
-  // so generated loops always poll. The flag stays in the header so compiled
-  // code cached before this field existed remains well-defined (it simply
-  // never polls) and future fast paths can gate on it.
-  state->header.cancellable = 1;
-  state->ctx = ctx;
-  state->collector = collector;
-  state->executor = exec;
-  state->plan = &plan;
-  state->ops = exec->ops();
-  state->threads.reserve(num_threads + 1);
-  for (size_t t = 0; t < num_threads + 1; ++t) {
-    auto slots = std::make_unique<JitRuntimeState::ThreadSlots>();
-    slots->snapshots.resize(kMaxHandleSlots);
-    slots->adj_holds.resize(kMaxHandleSlots);
-    state->threads.push_back(std::move(slots));
-  }
-  return state;
-}
-
 Status StatusFromCode(int32_t code, JitRuntimeState* state) {
   if (code >= 0) return Status::Ok();
   std::lock_guard<std::mutex> lock(state->error_mu);
@@ -211,16 +171,17 @@ Result<QueryResult> JitQueryEngine::Execute(
       stats->cache_hit = compiled->from_persistent_cache;
       stats->memo_hit = compiled->from_memo;
       stats->used_jit = true;
-      auto state = MakeState(plan, ctx, &collector, &exec, 1);
-      POSEIDON_RETURN_IF_ERROR(
-          RunCompiledSerial(*compiled, state.get(), &exec, stats));
+      auto state = MakeRuntimeState(plan, ctx, &collector, &exec, 1);
+      Status ran = RunCompiledSerial(*compiled, state.get(), &exec, stats);
+      tx->AddRtsDeferred(state->RtsDeferred());
+      POSEIDON_RETURN_IF_ERROR(ran);
       POSEIDON_RETURN_IF_ERROR(exec.Finish());
       break;
     }
 
     case ExecutionMode::kAdaptive: {
       auto state =
-          MakeState(plan, ctx, &collector, &exec, pool_.num_threads());
+          MakeRuntimeState(plan, ctx, &collector, &exec, pool_.num_threads());
       // The "static task function" of the paper: null = interpret.
       auto compiled_fn = std::make_shared<std::atomic<CompiledQueryFn>>(
           nullptr);
@@ -320,6 +281,7 @@ Result<QueryResult> JitQueryEngine::Execute(
         });
       }
       pool_.WaitIdle();
+      tx->AddRtsDeferred(state->RtsDeferred());
       POSEIDON_RETURN_IF_ERROR(first_error);
       POSEIDON_RETURN_IF_ERROR(exec.Finish());
       stats->jit_morsels = jit_morsels.load();

@@ -36,6 +36,47 @@ void FillHandle(JitRuntimeState* s, uint32_t thread, uint32_t slot,
 }
 
 }  // namespace
+
+std::unique_ptr<JitRuntimeState> MakeRuntimeState(
+    const query::Plan& plan, query::ExecContext ctx,
+    query::ResultCollector* collector, PipelineExecutor* exec,
+    size_t num_threads) {
+  auto state = std::make_unique<JitRuntimeState>();
+  const auto& nodes = ctx.store->nodes();
+  const auto& rels = ctx.store->relationships();
+  const auto& props = *ctx.store->properties().table();
+  state->header.node_chunks = nodes.chunk_ptr_array();
+  state->header.rel_chunks = rels.chunk_ptr_array();
+  state->header.prop_chunks = props.chunk_ptr_array();
+  state->header.node_num_chunks = nodes.num_chunks();
+  state->header.rel_num_chunks = rels.num_chunks();
+  state->header.prop_num_chunks = props.num_chunks();
+  state->header.ts = ctx.tx->id();
+  state->header.read_latency = ctx.store->pool()->latency().read_block_ns;
+  // The token always exists, and an explicit Cancel may arrive at any time,
+  // so generated loops always poll. The flag stays in the header so compiled
+  // code cached before this field existed remains well-defined (it simply
+  // never polls) and future fast paths can gate on it.
+  state->header.cancellable = 1;
+  state->header.snapshot_reader =
+      ctx.tx->snapshot() && ctx.tx->manager()->rts_coalesce() ? 1 : 0;
+  state->ctx = ctx;
+  state->collector = collector;
+  state->executor = exec;
+  state->plan = &plan;
+  state->ops = exec->ops();
+  state->rts_deferred_counts.assign((num_threads + 1) * kCounterStride, 0);
+  state->header.rts_deferred = state->rts_deferred_counts.data();
+  state->threads.reserve(num_threads + 1);
+  for (size_t t = 0; t < num_threads + 1; ++t) {
+    auto slots = std::make_unique<JitRuntimeState::ThreadSlots>();
+    slots->snapshots.resize(kMaxHandleSlots);
+    slots->adj_holds.resize(kMaxHandleSlots);
+    state->threads.push_back(std::move(slots));
+  }
+  return state;
+}
+
 }  // namespace poseidon::jit
 
 using namespace poseidon;         // NOLINT(build/namespaces)

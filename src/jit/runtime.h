@@ -46,7 +46,18 @@ struct JitStateHeader {
   /// cancelled (always set today — the token always exists). Generated loops
   /// poll poseidon_should_yield at batch granularity when this is nonzero.
   uint64_t cancellable = 0;
+  /// Nonzero for shared-snapshot readers under rts coalescing: the inline
+  /// fast path skips the rts UMax (Transaction::GetRecord's rule) and keeps
+  /// only the seqlock re-check that validates its loads.
+  uint64_t snapshot_reader = 0;
+  /// Per-worker counters of the rts bumps generated code skipped (one per
+  /// worker, kCounterStride apart); the engine credits their sum to the
+  /// transaction afterwards.
+  uint64_t* rts_deferred = nullptr;
 };
+
+/// Stride, in uint64_t, between per-worker counters (one cache line).
+inline constexpr uint64_t kCounterStride = 8;
 
 /// A resolved record reference living in a stack slot of generated code.
 /// `rec` points either at the PMem record (fast path) or at `copy` (version
@@ -90,6 +101,15 @@ struct JitRuntimeState {
     const std::vector<storage::RecordId>* shared_matches = nullptr;
   };
   std::vector<std::unique_ptr<ThreadSlots>> threads;
+  /// Backing store of header.rts_deferred.
+  std::vector<uint64_t> rts_deferred_counts;
+
+  /// rts bumps skipped by generated code, over all workers.
+  uint64_t RtsDeferred() const {
+    uint64_t n = 0;
+    for (uint64_t c : rts_deferred_counts) n += c;
+    return n;
+  }
 
   Status error;  ///< first helper error (guarded by error_mu)
   std::mutex error_mu;
@@ -99,6 +119,17 @@ struct JitRuntimeState {
     if (error.ok()) error = s;
   }
 };
+
+/// Handle slots a compiled query may use (per-thread snapshot storage).
+inline constexpr uint32_t kMaxHandleSlots = 64;
+
+/// Builds the shared runtime state for one execution of `plan` through
+/// `exec` (prepared), with storage for `num_threads` morsel workers plus
+/// the serial slot 0.
+std::unique_ptr<JitRuntimeState> MakeRuntimeState(
+    const query::Plan& plan, query::ExecContext ctx,
+    query::ResultCollector* collector, query::PipelineExecutor* exec,
+    size_t num_threads);
 
 }  // namespace poseidon::jit
 

@@ -88,16 +88,18 @@ struct LatencyModel {
   /// that completes `read_block_ns` from now for each touched block. Pair
   /// with __builtin_prefetch so the DRAM emulation machine also warms its
   /// real caches. A later OnRead of the same block spins only for whatever
-  /// portion of the fill has not yet elapsed.
+  /// portion of the fill has not yet elapsed. A block that is buffer-hot or
+  /// already in flight is a no-op: no fill restarts and no clock is read.
   void OnPrefetch(const void* addr, uint64_t len) const {
     if (read_block_ns == 0 || len == 0) return;
     PrefetchRing& ring = TlsRing();
     auto a = reinterpret_cast<uint64_t>(addr);
     uint64_t first = a / kPmemBlockSize;
     uint64_t last = (a + len - 1) / kPmemBlockSize;
-    uint64_t now = NowNs();
+    uint64_t now = 0;  // fetched lazily, only when a fill starts
     for (uint64_t b = first; b <= last; ++b) {
       if (b == ring.last_block || ring.Find(b) != nullptr) continue;
+      if (now == 0) now = NowNs();
       ring.Insert(b, now + read_block_ns);
     }
   }

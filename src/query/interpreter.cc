@@ -42,6 +42,34 @@ struct ScopedSink {
   std::vector<Tuple>* prev_;
 };
 
+/// A node version the NodeScan kernel resolved in stage 1 (fast path: the
+/// latest committed PMem version, copied under the seqlock check). While
+/// stage 2 pushes the record's tuple, operators up to the pipeline's first
+/// write read the node's label and property-chain head from here instead of
+/// resolving it again; the property chain it names is copy-on-write and
+/// pinned by the reader, so reading it late is snapshot-exact.
+struct SourceHandle {
+  const tx::Transaction* tx = nullptr;
+  RecordId id = kNullId;
+  storage::NodeRecord rec;
+};
+
+thread_local const SourceHandle* tl_handle = nullptr;
+
+struct ScopedHandle {
+  explicit ScopedHandle(const SourceHandle* h) : prev_(tl_handle) {
+    tl_handle = h;
+  }
+  ~ScopedHandle() { tl_handle = prev_; }
+  const SourceHandle* prev_;
+};
+
+/// The stage-1 resolution of node `id`, when stage 2 is pushing it.
+const SourceHandle* HandleFor(const ExecContext* ctx, RecordId id) {
+  const SourceHandle* h = tl_handle;
+  return h != nullptr && h->id == id && h->tx == ctx->tx ? h : nullptr;
+}
+
 }  // namespace
 
 PipelineExecutor::PipelineExecutor(const Plan& plan, ExecContext ctx,
@@ -76,6 +104,11 @@ Result<Value> PipelineExecutor::Eval(const Expr& e, const Tuple& t,
       }
       const Value& v = t[e.column];
       if (v.kind() == Value::Kind::kNode) {
+        if (const SourceHandle* h = HandleFor(ctx, v.AsRecordId())) {
+          const auto& props = ctx->store->properties();
+          POSEIDON_RETURN_IF_ERROR(props.CheckChain(h->rec.props));
+          return Value::FromPVal(props.Get(h->rec.props, e.key));
+        }
         POSEIDON_ASSIGN_OR_RETURN(
             PVal p, ctx->tx->GetNodeProperty(v.AsRecordId(), e.key));
         return Value::FromPVal(p);
@@ -94,6 +127,9 @@ Result<Value> PipelineExecutor::Eval(const Expr& e, const Tuple& t,
     case Expr::Kind::kLabel: {
       const Value& v = t[e.column];
       if (v.kind() == Value::Kind::kNode) {
+        if (const SourceHandle* h = HandleFor(ctx, v.AsRecordId())) {
+          return Value::String(h->rec.label);
+        }
         POSEIDON_ASSIGN_OR_RETURN(auto n, ctx->tx->GetNode(v.AsRecordId()));
         return Value::String(n.rec.label);
       }
@@ -140,6 +176,13 @@ Status PipelineExecutor::Prepare() {
     ops_.push_back(op);
   }
   std::reverse(ops_.begin(), ops_.end());  // source .. sink
+  handle_limit_ = ops_.size();
+  for (size_t i = 0; i < ops_.size(); ++i) {
+    if (IsWriteOp(*ops_[i])) {
+      handle_limit_ = i;
+      break;
+    }
+  }
   states_.resize(ops_.size());
   for (size_t i = 0; i < ops_.size(); ++i) {
     states_[i] = std::make_unique<OpState>();
@@ -272,38 +315,78 @@ Status PipelineExecutor::RunSourceRange(uint64_t begin, uint64_t end) {
   Tuple t;
   switch (src->kind) {
     case OpKind::kNodeScan: {
+      // Two-stage kernel (DESIGN.md "Scan kernel"). Stage 1 walks the
+      // gathered occupied ids: it keeps the node table PrefetchBlocks()
+      // blocks ahead, resolves each record and checks its label. Fast-path
+      // records join the group and start the fill of their property-chain
+      // head. Stage 2 (drain) pushes the group's tuples, by which time those
+      // fills are mostly done. The group drains once it holds ScanGroup()
+      // records and the scan reaches a new node block, at occupancy-word
+      // and batch ends, and before any slow-path record, so tuples still
+      // leave in id order.
       auto& table = ctx_.store->nodes();
-      uint64_t slots = table.NumSlots();
-      if (end > slots) end = slots;
-      // Gather occupied ids from the occupancy words (whole empty words
-      // skipped), then consume software-pipelined — the record
-      // `prefetch_distance` ahead is filling while the current one goes
-      // through the pipeline.
+      const auto& prop_table = *ctx_.store->properties().table();
+      const bool prefetch = opts.prefetch_distance != 0;
+      const uint32_t group_size = opts.ScanGroup();
+      // Hard bound on deferred records; without prefetching nothing is
+      // gained by deferring, so every group holds one record.
+      const uint32_t group_cap = prefetch ? pmem::kPrefetchSlots : 1;
+      SourceHandle group[pmem::kPrefetchSlots];
+      uint32_t grouped = 0;
+      auto drain = [&]() -> Status {
+        uint32_t n = grouped;
+        grouped = 0;
+        for (uint32_t k = 0; k < n; ++k) {
+          ScopedHandle handle(&group[k]);
+          t.clear();
+          t.push_back(Value::Node(group[k].id));
+          POSEIDON_RETURN_IF_ERROR(Push(1, t));
+        }
+        return Status::Ok();
+      };
+      storage::NodeTable::ReadAhead ahead(table, begin, end,
+                                          opts.PrefetchBlocks());
       uint64_t cap = opts.batch_size == 0 ? 1 : opts.batch_size;
       std::vector<RecordId> ids(cap);
-      uint64_t d = opts.prefetch_distance;
       RecordId cursor = begin;
       for (;;) {
-        // Cancellation poll per gathered batch (<= batch_size records).
+        // Cancellation poll per gathered batch (<= batch_size records); the
+        // group is always empty here.
         POSEIDON_RETURN_IF_ERROR(ctx_.tx->cancel_token()->Check());
-        uint64_t count = table.ScanBatch(&cursor, end, opts, ids.data(), cap);
+        uint64_t count = table.ScanBatch(&cursor, end, ids.data(), cap);
         if (count == 0) return Status::Ok();
         for (uint64_t i = 0; i < count; ++i) {
-          if (d != 0 && i + d < count) table.Prefetch(ids[i + d]);
           RecordId id = ids[i];
+          bool new_block = ahead.Advance(id);
+          if (grouped != 0 && ((new_block && grouped >= group_size) ||
+                               id / 64 != group[0].id / 64)) {
+            POSEIDON_RETURN_IF_ERROR(drain());
+          }
           auto n = ctx_.tx->GetNode(id);
           if (!n.ok()) {
             if (n.status().IsNotFound()) continue;  // invisible to snapshot
+            POSEIDON_RETURN_IF_ERROR(drain());
             return n.status();
           }
           if (src->label != kInvalidCode && n->rec.label != src->label) {
             continue;
           }
-          t.clear();
-          t.push_back(Value::Node(id));
-          Status s = Push(1, t);
-          if (!s.ok()) return s;
+          if (n->from_snapshot) {
+            // Slow path (own write set, DRAM version chain): inline, after
+            // the records ahead of it.
+            POSEIDON_RETURN_IF_ERROR(drain());
+            t.clear();
+            t.push_back(Value::Node(id));
+            POSEIDON_RETURN_IF_ERROR(Push(1, t));
+            continue;
+          }
+          group[grouped] = SourceHandle{ctx_.tx, id, n->rec};
+          if (prefetch) prop_table.Prefetch(n->rec.props);
+          if (++grouped == group_cap) {
+            POSEIDON_RETURN_IF_ERROR(drain());
+          }
         }
+        POSEIDON_RETURN_IF_ERROR(drain());
       }
     }
 
@@ -357,6 +440,12 @@ Status PipelineExecutor::Push(size_t i, Tuple& t) {
     }
     return Status::Ok();
   }
+  if (tl_handle != nullptr && i >= handle_limit_) {
+    // A write may change what the source node resolves to: operators from
+    // here on resolve it again through the transaction.
+    ScopedHandle none(nullptr);
+    return Push(i, t);
+  }
   const Op* op = ops_[i];
   OpState& state = *states_[i];
   switch (op->kind) {
@@ -370,8 +459,13 @@ Status PipelineExecutor::Push(size_t i, Tuple& t) {
         const Value& v = t[op->column];
         storage::DictCode label;
         if (v.kind() == Value::Kind::kNode) {
-          POSEIDON_ASSIGN_OR_RETURN(auto n, ctx_.tx->GetNode(v.AsRecordId()));
-          label = n.rec.label;
+          if (const SourceHandle* h = HandleFor(&ctx_, v.AsRecordId())) {
+            label = h->rec.label;
+          } else {
+            POSEIDON_ASSIGN_OR_RETURN(auto n,
+                                      ctx_.tx->GetNode(v.AsRecordId()));
+            label = n.rec.label;
+          }
         } else {
           POSEIDON_ASSIGN_OR_RETURN(auto r,
                                     ctx_.tx->GetRelationship(v.AsRecordId()));

@@ -172,6 +172,9 @@ class PipelineExecutor {
   int64_t source_hi_key_ = 0;
   bool source_matches_valid_ = false;
   bool prepared_ = false;
+  /// Index of the first operator that writes (ops_.size() when none):
+  /// operators before it may read a scanned node from its stage-1 handle.
+  size_t handle_limit_ = 0;
 };
 
 }  // namespace poseidon::query

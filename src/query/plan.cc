@@ -310,13 +310,15 @@ const Op* Plan::Source() const {
   return op;
 }
 
+bool IsWriteOp(const Op& op) {
+  return op.kind == OpKind::kCreateNode || op.kind == OpKind::kCreateRel ||
+         op.kind == OpKind::kSetProperty;
+}
+
 namespace {
 bool OpTreeWrites(const Op* op) {
   if (op == nullptr) return false;
-  if (op->kind == OpKind::kCreateNode || op->kind == OpKind::kCreateRel ||
-      op->kind == OpKind::kSetProperty) {
-    return true;
-  }
+  if (IsWriteOp(*op)) return true;
   return OpTreeWrites(op->input.get()) || OpTreeWrites(op->right.get());
 }
 }  // namespace

@@ -170,6 +170,10 @@ struct ExplainAnnotation {
 };
 
 /// A complete query plan. `root` is the sink-most operator.
+/// True for the operators that write (kCreateNode / kCreateRel /
+/// kSetProperty).
+bool IsWriteOp(const Op& op);
+
 struct Plan {
   std::unique_ptr<Op> root;
 

@@ -295,16 +295,70 @@ class ChunkedTable {
     pool_->TouchPrefetch(SlotPtr(id), sizeof(R));
   }
 
+  /// 256 B DCPMM blocks per chunk; block 0 holds the chunk header and the
+  /// first records.
+  static constexpr uint64_t kBlocksPerChunk =
+      kChunkBytes / pmem::kPmemBlockSize;
+
+  /// Table-wide number of the 256 B block holding the first byte of `id`
+  /// (chunk * kBlocksPerChunk + block within the chunk). Ascending ids map
+  /// to non-decreasing blocks.
+  static uint64_t BlockOf(RecordId id) {
+    return id / kRecordsPerChunk * kBlocksPerChunk +
+           (kHeaderBytes + id % kRecordsPerChunk * sizeof(R)) /
+               pmem::kPmemBlockSize;
+  }
+
+  /// Block-granular read-ahead for one ascending scan over [begin, end):
+  /// keeps the `ahead` blocks past the one being read in flight, issuing
+  /// exactly one prefetch (hardware hint plus modeled fill) per block.
+  /// After a jump past the window (whole empty occupancy words) the window
+  /// restarts at the new block.
+  class ReadAhead {
+   public:
+    ReadAhead(const ChunkedTable& table, RecordId begin, RecordId end,
+              uint32_t ahead)
+        : table_(table), ahead_(ahead) {
+      end = std::min(end, table.NumSlots());
+      end_block_ = end > begin ? BlockOf(end - 1) + 1 : 0;
+    }
+
+    /// Announces that the scan is about to read `id`; returns true when
+    /// `id` lies in a different block than the previous id.
+    bool Advance(RecordId id) {
+      uint64_t block = BlockOf(id);
+      if (block == cur_block_) return false;
+      cur_block_ = block;
+      if (ahead_ != 0) {
+        next_ = std::max(next_, block);
+        uint64_t stop = std::min(block + ahead_ + 1, end_block_);
+        for (; next_ < stop; ++next_) {
+          table_.pool_->TouchPrefetch(
+              table_.chunk_ptrs_[next_ / kBlocksPerChunk] +
+                  next_ % kBlocksPerChunk * pmem::kPmemBlockSize,
+              pmem::kPmemBlockSize);
+        }
+      }
+      return true;
+    }
+
+   private:
+    const ChunkedTable& table_;
+    uint32_t ahead_;
+    uint64_t end_block_;
+    uint64_t cur_block_ = ~0ull;
+    uint64_t next_ = 0;  ///< first block not yet prefetched
+  };
+
   /// Batched occupancy scan: fills `ids` with up to `cap` occupied slot ids
   /// from [*cursor, min(end, NumSlots())), skipping whole empty 64-bit
-  /// occupancy words via countr_zero and prefetching the next chunk header
-  /// while the current chunk's bitmap is consumed. Advances *cursor past the
-  /// last examined slot; returns the number of ids emitted (0 = range
+  /// occupancy words via countr_zero. Advances *cursor past the last
+  /// examined slot; returns the number of ids emitted (0 = range
   /// exhausted). Bitmap words are probed with acquire loads; record payloads
-  /// are NOT touched here — consumers pair At() with Prefetch() to overlap
-  /// the PMem read latency (see ForEachBatch).
-  uint64_t ScanBatch(RecordId* cursor, RecordId end, const ScanOptions& opts,
-                     RecordId* ids, uint64_t cap) const {
+  /// are NOT touched here — consumers pair At() with a ReadAhead to overlap
+  /// the PMem read latency (see ForEachBatchRange).
+  uint64_t ScanBatch(RecordId* cursor, RecordId end, RecordId* ids,
+                     uint64_t cap) const {
     uint64_t slots = NumSlots();
     if (end > slots) end = slots;
     RecordId id = *cursor;
@@ -315,12 +369,6 @@ class ChunkedTable {
       if (chunk != cur_chunk) {
         cur_chunk = chunk;
         MaybeVerifyChunk(chunk);
-        uint64_t next_chunk = chunk + 1;
-        if (opts.prefetch_distance != 0 &&
-            next_chunk * kRecordsPerChunk < end) {
-          // Chunks never shrink, so next_chunk's mirror entry is valid.
-          pool_->TouchPrefetch(chunk_ptrs_[next_chunk], kHeaderBytes);
-        }
       }
       uint64_t slot = id % kRecordsPerChunk;
       const auto* h = reinterpret_cast<const ChunkHeader*>(chunk_ptrs_[chunk]);
@@ -351,25 +399,21 @@ class ChunkedTable {
     return count;
   }
 
-  /// Invokes f(id, record&) for every occupied slot in [begin, end) using
-  /// the batch kernel: gather a batch of ids from the bitmap, then consume
-  /// it software-pipelined — prefetch the record `prefetch_distance` ahead,
-  /// touch/process the current one — so the modeled PMem fill of slot
-  /// i+distance overlaps the processing of slot i.
+  /// Invokes f(id, record&) for every occupied slot in [begin, end): gather
+  /// a batch of ids from the bitmap, then touch each record while the
+  /// ReadAhead keeps opts.PrefetchBlocks() blocks in flight ahead of it.
   template <typename F>
   void ForEachBatchRange(RecordId begin, RecordId end, const ScanOptions& opts,
                          F&& f) const {
     uint64_t cap = opts.batch_size == 0 ? 1 : opts.batch_size;
     std::vector<RecordId> ids(cap);
     RecordId cursor = begin;
-    uint64_t d = opts.prefetch_distance;
+    ReadAhead ahead(*this, begin, end, opts.PrefetchBlocks());
     for (;;) {
-      uint64_t n = ScanBatch(&cursor, end, opts, ids.data(), cap);
+      uint64_t n = ScanBatch(&cursor, end, ids.data(), cap);
       if (n == 0) return;
       for (uint64_t i = 0; i < n; ++i) {
-        if (d != 0 && i + d < n) {
-          pool_->TouchPrefetch(SlotPtr(ids[i + d]), sizeof(R));
-        }
+        ahead.Advance(ids[i]);
         f(ids[i], *At(ids[i]));
       }
     }

@@ -105,6 +105,11 @@ class Transaction {
   uint64_t rts_deferred() const {
     return rts_deferred_.load(std::memory_order_relaxed);
   }
+  /// Credits rts bumps that compiled code elided on this transaction's
+  /// behalf (shared-snapshot reads resolved inline, outside GetRecord).
+  void AddRtsDeferred(uint64_t n) {
+    rts_deferred_.fetch_add(n, std::memory_order_relaxed);
+  }
 
   /// Cooperative cancellation: executors poll this token at batch
   /// granularity (scan word / morsel / expand hop); GraphDb::Cancel and the

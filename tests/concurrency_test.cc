@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "query/engine.h"
@@ -294,11 +295,22 @@ TEST_F(ConcurrencyTest, MorselParallelScanNeverSeesUncommittedVersions) {
           .Count()
           .Build();
 
+  // Writers draw from a budget the reader tops up before each pair of
+  // scans, so they race every scan while the table grows by a bounded
+  // amount (unbounded writers made the scans, and the test, slow down as
+  // the table grew).
+  constexpr int kInsertsPerRead = 8;
+  std::atomic<int> budget{0};
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int w = 0; w < 2; ++w) {
     writers.emplace_back([&] {
       while (!stop.load(std::memory_order_acquire)) {
+        if (budget.fetch_sub(1, std::memory_order_acq_rel) <= 0) {
+          budget.fetch_add(1, std::memory_order_acq_rel);
+          std::this_thread::sleep_for(std::chrono::microseconds(20));
+          continue;
+        }
         {  // poison insert, always rolled back
           auto tx = mgr_->Begin();
           (void)tx->CreateNode(account_, {{balance_, PVal::Int(-1)}});
@@ -316,6 +328,7 @@ TEST_F(ConcurrencyTest, MorselParallelScanNeverSeesUncommittedVersions) {
   int poison_seen = 0;
   int64_t last_committed = kSeed;
   for (int reads = 0; reads < kReads;) {
+    budget.fetch_add(kInsertsPerRead, std::memory_order_acq_rel);
     auto tx = mgr_->Begin();
     auto poison = engine.Execute(poison_count, tx.get(), {},
                                  /*parallel=*/true);

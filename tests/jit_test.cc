@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ldbc/queries.h"
+#include "util/hash.h"
 
 namespace poseidon::jit {
 namespace {
@@ -233,6 +234,66 @@ TEST_F(JitTest, PersistentCacheServesNewEngine) {
   ASSERT_TRUE(tx->Commit().ok());
   EXPECT_TRUE(stats.cache_hit);
   EXPECT_TRUE(SameRows(*first, *r, /*order_sensitive=*/false));
+}
+
+TEST_F(JitTest, CodeCachedUnderAnotherCodegenVersionIsNeverServed) {
+  const auto& s = ds_->schema;
+  Plan p = PlanBuilder()
+               .NodeScan(s.tag_class)
+               .Project({Expr::Property(0, s.id)})
+               .Build();
+  JitOptions opts;
+  const uint64_t current = JitEngine::QueryIdFor(p, opts);
+  // The key as computed before the generator version joined it, and as a
+  // generator one version older computes it.
+  const uint64_t unversioned = HashCombine(
+      HashCombine(HashCombine(HashCombine(HashString(p.Signature()), 1),
+                              opts.scan.batch_size),
+                  opts.scan.prefetch_distance),
+      1);
+  const uint64_t previous =
+      JitEngine::QueryIdFor(p, opts, kCodegenAbiVersion - 1);
+  EXPECT_NE(current, unversioned);
+  EXPECT_NE(current, previous);
+
+  auto make_cache = [] {
+    auto pool = pmem::Pool::CreateVolatile(64ull << 20);
+    EXPECT_TRUE(pool.ok());
+    auto cache = QueryCache::Create(pool->get());
+    EXPECT_TRUE(cache.ok());
+    return std::make_pair(std::move(*pool), std::move(*cache));
+  };
+  // Real object code for `p`, as this generator emits it.
+  auto [pool, cache] = make_cache();
+  {
+    auto engine = JitEngine::Create(cache.get());
+    ASSERT_TRUE(engine.ok());
+    auto c = (*engine)->Compile(p, opts);
+    ASSERT_TRUE(c.ok()) << c.status().ToString();
+    EXPECT_FALSE(c->from_persistent_cache);
+  }
+  auto blob = cache->Get(current);
+  ASSERT_TRUE(blob.ok());
+
+  // A pool holding that code only under the stale keys compiles afresh.
+  auto [stale_pool, stale_cache] = make_cache();
+  ASSERT_TRUE(stale_cache->Put(unversioned, blob->data(), blob->size()).ok());
+  ASSERT_TRUE(stale_cache->Put(previous, blob->data(), blob->size()).ok());
+  {
+    auto engine = JitEngine::Create(stale_cache.get());
+    ASSERT_TRUE(engine.ok());
+    auto c = (*engine)->Compile(p, opts);
+    ASSERT_TRUE(c.ok()) << c.status().ToString();
+    EXPECT_FALSE(c->from_persistent_cache);
+  }
+  // Control: under the current key the same bytes are served.
+  {
+    auto engine = JitEngine::Create(cache.get());
+    ASSERT_TRUE(engine.ok());
+    auto c = (*engine)->Compile(p, opts);
+    ASSERT_TRUE(c.ok()) << c.status().ToString();
+    EXPECT_TRUE(c->from_persistent_cache);
+  }
 }
 
 TEST_F(JitTest, AdaptiveMatchesInterpreter) {

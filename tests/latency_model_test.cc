@@ -128,5 +128,77 @@ TEST_F(LatencyModelTest, PrefetchMakesLaterReadCheaper) {
       << "prefetched block paid the full read latency";
 }
 
+// --- Charge pins -----------------------------------------------------------
+// Each case uses its own 256 B-aligned buffers (the prefetch ring is per
+// thread and outlives a test) and a per-block cost large enough that a paid
+// and a free access differ by orders of magnitude.
+
+constexpr uint64_t kBlockNs = 30'000'000;  // 30 ms per block
+constexpr int64_t kFullMs = 30;
+
+template <typename F>
+int64_t ElapsedMs(F&& f) {
+  auto start = std::chrono::steady_clock::now();
+  f();
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+void SpinMs(int64_t ms) {
+  auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+  while (std::chrono::steady_clock::now() < deadline) {
+  }
+}
+
+TEST_F(LatencyModelTest, NeverPrefetchedBlockPaysTheFullRead) {
+  LatencyModel m;
+  m.read_block_ns = kBlockNs;
+  alignas(256) static char buf[256];
+  EXPECT_GE(ElapsedMs([&] { m.OnRead(buf, 64); }), kFullMs - 1);
+}
+
+TEST_F(LatencyModelTest, BlockPrefetchedAFullReadAgoIsFree) {
+  LatencyModel m;
+  m.read_block_ns = kBlockNs;
+  alignas(256) static char buf[256];
+  m.OnPrefetch(buf + 64, 64);  // any byte of the block starts its fill
+  SpinMs(kFullMs + 5);
+  EXPECT_LT(ElapsedMs([&] { m.OnRead(buf, 64); }), kFullMs / 3);
+}
+
+TEST_F(LatencyModelTest, RereadOfTheSameBlockIsFree) {
+  LatencyModel m;
+  m.read_block_ns = kBlockNs;
+  alignas(256) static char buf[256];
+  EXPECT_GE(ElapsedMs([&] { m.OnRead(buf, 64); }), kFullMs - 1);
+  EXPECT_LT(ElapsedMs([&] { m.OnRead(buf + 128, 64); }), kFullMs / 3);
+}
+
+TEST_F(LatencyModelTest, NoOpPrefetchLeavesEveryFillWhereItWas) {
+  LatencyModel m;
+  m.read_block_ns = kBlockNs;
+  alignas(256) static char inflight[256];
+  alignas(256) static char hot[256];
+  // A second prefetch of a block already in flight must not restart its
+  // fill: the read lands after the first fill completes and pays ~0.
+  m.OnPrefetch(inflight, 64);
+  SpinMs(kFullMs * 2 / 3);
+  m.OnPrefetch(inflight, 64);  // no-op
+  SpinMs(kFullMs / 2);         // first fill done; a restarted one is not
+  EXPECT_LT(ElapsedMs([&] { m.OnRead(inflight, 64); }), kFullMs / 3);
+  // A prefetch of the buffer-hot block is a no-op too: it starts no fill,
+  // so once another block has displaced it from the buffer, re-reading it
+  // pays in full.
+  alignas(256) static char other[256];
+  EXPECT_GE(ElapsedMs([&] { m.OnRead(hot, 64); }), kFullMs - 1);
+  m.OnPrefetch(hot, 64);  // hot is the buffered block: no-op
+  SpinMs(kFullMs + 5);
+  EXPECT_GE(ElapsedMs([&] { m.OnRead(other, 64); }), kFullMs - 1);
+  EXPECT_GE(ElapsedMs([&] { m.OnRead(hot, 64); }), kFullMs - 1)
+      << "a prefetch of the buffered block started a fill";
+}
+
 }  // namespace
 }  // namespace poseidon::pmem
