@@ -113,7 +113,7 @@ Result<std::unique_ptr<GraphDb>> GraphDb::Init(const GraphDbOptions& options,
 
 std::string GraphDb::Explain(const query::Plan& plan) const {
   query::ExplainAnnotation ann;
-  ann.threads = engine_->pool()->num_threads();
+  ann.threads = engine_->query_threads();
   ann.morsel = query::QueryEngine::kMorselSize;
   const tx::AdjacencyCacheStats adj = txm_->adjacency_cache().stats();
   ann.adj_cache =

@@ -32,7 +32,10 @@ struct GraphDbOptions {
   /// baseline: no persistence, no PMem latency emulation).
   std::string path;
   uint64_t capacity = 1ull << 30;
-  /// Worker threads for parallel / adaptive execution.
+  /// Threads that run one query's morsels in parallel / adaptive execution,
+  /// the calling thread included: the engine's pool owns
+  /// `query_threads - 1` helper workers (1 or 0 = the caller runs every
+  /// morsel itself). EXPLAIN prints this value as `parallel=`.
   size_t query_threads = 4;
   /// Persist compiled query code in the pool (pmem mode only).
   bool enable_query_cache = true;

@@ -133,8 +133,7 @@ uint64_t JitEngine::QueryIdFor(const query::Plan& plan,
 uint64_t JitEngine::QueryIdFor(const query::Plan& plan,
                                const JitOptions& options,
                                uint32_t abi_version) {
-  uint64_t id =
-      HashCombine(HashString(plan.Signature()), options.optimize ? 1 : 2);
+  uint64_t id = HashCombine(plan.signature_hash(), options.optimize ? 1 : 2);
   // Object code from another generator version may assume another header
   // layout or scan loop: the version keys the cache like the knobs below.
   id = HashCombine(id, abi_version);
@@ -150,14 +149,22 @@ uint64_t JitEngine::QueryIdFor(const query::Plan& plan,
 bool JitEngine::TryGetMemoized(const query::Plan& plan,
                                const JitOptions& options,
                                CompiledQuery* out) {
-  uint64_t query_id = QueryIdFor(plan, options);
-  std::lock_guard<std::mutex> lock(mu_);
+  return MemoLookup(QueryIdFor(plan, options), out);
+}
+
+bool JitEngine::MemoLookup(uint64_t query_id, CompiledQuery* out) {
+  std::lock_guard<std::mutex> lock(memo_mu_);
   auto it = memo_.find(query_id);
   if (it == memo_.end()) return false;
   *out = it->second;
   out->from_memo = true;
   out->codegen_ms = out->optimize_ms = out->compile_ms = 0;
   return true;
+}
+
+void JitEngine::MemoInsert(const CompiledQuery& compiled) {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  memo_[compiled.query_id] = compiled;
 }
 
 Result<CompiledQuery> JitEngine::Compile(const query::Plan& plan,
@@ -181,12 +188,15 @@ Result<JitEngine::PendingCompile> JitEngine::BeginCompile(
   pending.options = options;
   pending.result.query_id = query_id;
 
-  std::lock_guard<std::mutex> lock(mu_);
-  if (auto it = memo_.find(query_id); it != memo_.end()) {
-    pending.result = it->second;
-    pending.result.from_memo = true;
-    pending.result.codegen_ms = pending.result.optimize_ms =
-        pending.result.compile_ms = 0;
+  // A memo hit takes only the memo lock, so hot queries never wait behind
+  // another plan's compile.
+  if (MemoLookup(query_id, &pending.result)) {
+    pending.done = true;
+    return pending;
+  }
+  std::lock_guard<std::mutex> compile_lock(compile_mu_);
+  // A racer may have finished this query while we waited for the lock.
+  if (MemoLookup(query_id, &pending.result)) {
     pending.done = true;
     return pending;
   }
@@ -237,7 +247,7 @@ Result<JitEngine::PendingCompile> JitEngine::BeginCompile(
         pending.result.tail_index = header.tail_index;
         pending.result.num_handle_slots = header.num_handle_slots;
         pending.result.from_persistent_cache = true;
-        memo_[query_id] = pending.result;
+        MemoInsert(pending.result);
         pending.done = true;
         return pending;
       }
@@ -263,13 +273,11 @@ Result<CompiledQuery> JitEngine::FinishCompile(PendingCompile pending) {
   // compile racing a foreground Compile corrupts the heap or fails with
   // "symbol already defined". One compile at a time; a racer that lost
   // reuses the winner's memoized code instead of re-linking.
-  std::lock_guard<std::mutex> lock(mu_);
-  if (auto it = memo_.find(pending.result.query_id); it != memo_.end()) {
-    CompiledQuery hit = it->second;
-    hit.from_memo = true;
-    hit.codegen_ms = hit.optimize_ms = hit.compile_ms = 0;
+  std::lock_guard<std::mutex> compile_lock(compile_mu_);
+  if (CompiledQuery hit; MemoLookup(pending.result.query_id, &hit)) {
     return hit;
   }
+  if (compile_hook_) compile_hook_(pending.result.query_id);
   CompiledQuery result = pending.result;
 
   // --- Optimization ---------------------------------------------------------
@@ -309,7 +317,7 @@ Result<CompiledQuery> JitEngine::FinishCompile(PendingCompile pending) {
                             LlvmErrToString(sym.takeError()));
   }
   result.fn = reinterpret_cast<CompiledQueryFn>(sym->getAddress());
-  memo_[result.query_id] = result;
+  MemoInsert(result);
   return result;
 }
 

@@ -9,6 +9,7 @@
 #ifndef POSEIDON_JIT_JIT_ENGINE_H_
 #define POSEIDON_JIT_JIT_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -105,15 +106,33 @@ class JitEngine {
 
   QueryCache* cache() const { return cache_; }
 
+  /// Test seam: `hook(query_id)` runs inside FinishCompile, with the compile
+  /// lock held, before optimization. Set it before any compile starts.
+  void set_compile_hook_for_testing(std::function<void(uint64_t)> hook) {
+    compile_hook_ = std::move(hook);
+  }
+
  private:
   JitEngine() = default;
+
+  /// Copies the memoized compile of `query_id` into `out` (marked as a memo
+  /// hit with zero compile cost); false on a miss.
+  bool MemoLookup(uint64_t query_id, CompiledQuery* out);
+  void MemoInsert(const CompiledQuery& compiled);
 
   std::unique_ptr<llvm::orc::LLJIT> jit_;
   std::unique_ptr<llvm::TargetMachine> tm_;
   QueryCache* cache_ = nullptr;
-  std::mutex mu_;
+  /// Serializes LLVM/ORC work: the legacy pass managers, the shared
+  /// TargetMachine and ORC session mutations must not run from two threads
+  /// at once. Taken by compiles only, never by memo hits. Acquired before
+  /// memo_mu_ when both are held.
+  std::mutex compile_mu_;
+  uint64_t dylib_counter_ = 0;  // guarded by compile_mu_
+  std::function<void(uint64_t)> compile_hook_;
+  /// Guards memo_ only; held for one find or insert.
+  std::mutex memo_mu_;
   std::unordered_map<uint64_t, CompiledQuery> memo_;
-  uint64_t dylib_counter_ = 0;
 };
 
 }  // namespace poseidon::jit

@@ -22,7 +22,9 @@ Status StatusFromCode(int32_t code, JitRuntimeState* state) {
 JitQueryEngine::JitQueryEngine(storage::GraphStore* store,
                                index::IndexManager* indexes,
                                size_t num_threads)
-    : store_(store), indexes_(indexes), pool_(num_threads) {}
+    : store_(store),
+      indexes_(indexes),
+      pool_(num_threads > 0 ? num_threads - 1 : 0) {}
 
 Result<std::unique_ptr<JitQueryEngine>> JitQueryEngine::Create(
     storage::GraphStore* store, index::IndexManager* indexes,
@@ -50,7 +52,6 @@ Status JitQueryEngine::RunCompiledSerial(const CompiledQuery& compiled,
   // NodeScan and index sources are range sources: the compiled function
   // consumes [begin, end) morsels (slot ids / match positions). Create
   // pipelines take a single invocation.
-  uint64_t slots = exec->SourceCardinality();
   const query::Op* front = exec->ops().empty() ? nullptr : exec->ops().front();
   bool range_source =
       front != nullptr && (front->kind == query::OpKind::kNodeScan ||
@@ -58,19 +59,18 @@ Status JitQueryEngine::RunCompiledSerial(const CompiledQuery& compiled,
                            front->kind == query::OpKind::kIndexRangeScan);
   if (!range_source) {
     int32_t code = compiled.fn(state, 0, 1, 0);
-    if (stats != nullptr) ++stats->jit_morsels;
+    ++stats->jit_morsels;
     return StatusFromCode(code, state);
   }
-  for (uint64_t begin = 0; begin < slots;
-       begin += QueryEngine::kMorselSize) {
-    POSEIDON_RETURN_IF_ERROR(state->ctx.tx->cancel_token()->Check());
-    uint64_t end = std::min(begin + QueryEngine::kMorselSize, slots);
-    int32_t code = compiled.fn(state, begin, end, 0);
-    if (stats != nullptr) ++stats->jit_morsels;
-    POSEIDON_RETURN_IF_ERROR(StatusFromCode(code, state));
-    if (code == 1) break;  // limit satisfied
-  }
-  return Status::Ok();
+  return RunMorsels(
+      nullptr, exec->SourceCardinality(), QueryEngine::kMorselSize,
+      state->ctx.tx->cancel_token(),
+      [&](uint64_t begin, uint64_t end, uint32_t runner, bool* stop) {
+        int32_t code = compiled.fn(state, begin, end, runner);
+        ++stats->jit_morsels;
+        *stop = code == 1;  // limit satisfied
+        return StatusFromCode(code, state);
+      });
 }
 
 Result<QueryResult> JitQueryEngine::Execute(
@@ -126,30 +126,15 @@ Result<QueryResult> JitQueryEngine::Execute(
         ++stats->interpreted_morsels;
         break;
       }
-      std::mutex status_mu;
-      Status first_error;
-      for (uint64_t begin = 0; begin < slots;
-           begin += QueryEngine::kMorselSize) {  // parallel morsels
-        // Stop feeding the pool once the token trips; in-flight morsels
-        // observe the same token inside RunMorsel's push loops.
-        Status admit = tx->cancel_token()->Check();
-        if (!admit.ok()) {
-          std::lock_guard<std::mutex> lock(status_mu);
-          if (first_error.ok()) first_error = admit;
-          break;
-        }
-        uint64_t end = std::min(begin + QueryEngine::kMorselSize, slots);
-        pool_.Submit([&exec, &status_mu, &first_error, begin, end] {
-          Status s = exec.RunMorsel(begin, end);
-          if (!s.ok()) {
-            std::lock_guard<std::mutex> lock(status_mu);
-            if (first_error.ok()) first_error = s;
-          }
-        });
-        ++stats->interpreted_morsels;
-      }
-      pool_.WaitIdle();
-      POSEIDON_RETURN_IF_ERROR(first_error);
+      std::atomic<uint64_t> morsels{0};
+      Status ran = RunMorsels(
+          &pool_, slots, QueryEngine::kMorselSize, tx->cancel_token(),
+          [&](uint64_t begin, uint64_t end, uint32_t, bool*) {
+            morsels.fetch_add(1, std::memory_order_relaxed);
+            return exec.RunMorsel(begin, end);
+          });
+      stats->interpreted_morsels = morsels.load();
+      POSEIDON_RETURN_IF_ERROR(ran);
       POSEIDON_RETURN_IF_ERROR(exec.Finish());
       break;
     }
@@ -181,7 +166,7 @@ Result<QueryResult> JitQueryEngine::Execute(
 
     case ExecutionMode::kAdaptive: {
       auto state =
-          MakeRuntimeState(plan, ctx, &collector, &exec, pool_.num_threads());
+          MakeRuntimeState(plan, ctx, &collector, &exec, query_threads());
       // The "static task function" of the paper: null = interpret.
       auto compiled_fn = std::make_shared<std::atomic<CompiledQueryFn>>(
           nullptr);
@@ -242,47 +227,25 @@ Result<QueryResult> JitQueryEngine::Execute(
         break;
       }
 
-      // Morsel task pool with worker-slot ids for the JIT handle storage.
-      std::mutex status_mu;
-      Status first_error;
+      // Each morsel reads the task function afresh, so the first morsel
+      // claimed after the background compile lands runs machine code. The
+      // runner id addresses the JIT handle storage.
       std::atomic<uint64_t> jit_morsels{0}, interp_morsels{0};
-      std::atomic<bool> stop{false};
-      for (uint64_t begin = 0; begin < slots;
-           begin += QueryEngine::kMorselSize) {
-        Status admit = tx->cancel_token()->Check();
-        if (!admit.ok()) {
-          std::lock_guard<std::mutex> lock(status_mu);
-          if (first_error.ok()) first_error = admit;
-          break;
-        }
-        uint64_t end = std::min(begin + QueryEngine::kMorselSize, slots);
-        pool_.Submit([&, begin, end] {
-          if (stop.load(std::memory_order_acquire)) return;
-          // Worker slot 0 is reserved for serial execution; pool workers
-          // use their stable index + 1 for the JIT handle storage.
-          uint32_t worker =
-              static_cast<uint32_t>(ThreadPool::current_worker_index() + 1);
-          CompiledQueryFn fn = compiled_fn->load(std::memory_order_acquire);
-          Status s;
-          if (fn != nullptr &&
-              worker < static_cast<uint32_t>(state->threads.size())) {
-            int32_t code = fn(state.get(), begin, end, worker);
-            if (code == 1) stop.store(true, std::memory_order_release);
-            s = StatusFromCode(code, state.get());
+      Status ran = RunMorsels(
+          &pool_, slots, QueryEngine::kMorselSize, tx->cancel_token(),
+          [&](uint64_t begin, uint64_t end, uint32_t runner, bool* stop) {
+            CompiledQueryFn fn = compiled_fn->load(std::memory_order_acquire);
+            if (fn == nullptr) {
+              interp_morsels.fetch_add(1, std::memory_order_relaxed);
+              return exec.RunMorsel(begin, end);
+            }
+            int32_t code = fn(state.get(), begin, end, runner);
             jit_morsels.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            s = exec.RunMorsel(begin, end);
-            interp_morsels.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (!s.ok()) {
-            std::lock_guard<std::mutex> lock(status_mu);
-            if (first_error.ok()) first_error = s;
-          }
-        });
-      }
-      pool_.WaitIdle();
+            *stop = code == 1;  // limit satisfied
+            return StatusFromCode(code, state.get());
+          });
       tx->AddRtsDeferred(state->RtsDeferred());
-      POSEIDON_RETURN_IF_ERROR(first_error);
+      POSEIDON_RETURN_IF_ERROR(ran);
       POSEIDON_RETURN_IF_ERROR(exec.Finish());
       stats->jit_morsels = jit_morsels.load();
       stats->interpreted_morsels = interp_morsels.load();

@@ -66,6 +66,8 @@ struct ExecStats {
 
 class JitQueryEngine {
  public:
+  /// `num_threads` counts the threads that run a query's morsels, the
+  /// calling thread included: the pool owns `num_threads - 1` helpers.
   /// `cache` may be null (no persistent compiled-code cache).
   static Result<std::unique_ptr<JitQueryEngine>> Create(
       storage::GraphStore* store, index::IndexManager* indexes,
@@ -85,7 +87,8 @@ class JitQueryEngine {
                                      const JitOptions& options = {});
 
   JitEngine* engine() { return engine_.get(); }
-  ThreadPool* pool() { return &pool_; }
+  /// Threads that run one query's morsels: the caller plus the pool helpers.
+  size_t query_threads() const { return pool_.num_threads() + 1; }
   storage::GraphStore* store() const { return store_; }
 
   /// Batched-scan knobs applied to every execution (ablation surface);
@@ -107,7 +110,7 @@ class JitQueryEngine {
   JitQueryEngine(storage::GraphStore* store, index::IndexManager* indexes,
                  size_t num_threads);
 
-  /// Drives compiled code over all morsels (single-threaded).
+  /// Drives compiled code over all morsels on the calling thread.
   Status RunCompiledSerial(const CompiledQuery& compiled,
                            JitRuntimeState* state,
                            query::PipelineExecutor* exec, ExecStats* stats);

@@ -40,7 +40,7 @@ void FillHandle(JitRuntimeState* s, uint32_t thread, uint32_t slot,
 std::unique_ptr<JitRuntimeState> MakeRuntimeState(
     const query::Plan& plan, query::ExecContext ctx,
     query::ResultCollector* collector, PipelineExecutor* exec,
-    size_t num_threads) {
+    size_t num_runners) {
   auto state = std::make_unique<JitRuntimeState>();
   const auto& nodes = ctx.store->nodes();
   const auto& rels = ctx.store->relationships();
@@ -65,10 +65,10 @@ std::unique_ptr<JitRuntimeState> MakeRuntimeState(
   state->executor = exec;
   state->plan = &plan;
   state->ops = exec->ops();
-  state->rts_deferred_counts.assign((num_threads + 1) * kCounterStride, 0);
+  state->rts_deferred_counts.assign(num_runners * kCounterStride, 0);
   state->header.rts_deferred = state->rts_deferred_counts.data();
-  state->threads.reserve(num_threads + 1);
-  for (size_t t = 0; t < num_threads + 1; ++t) {
+  state->threads.reserve(num_runners);
+  for (size_t t = 0; t < num_runners; ++t) {
     auto slots = std::make_unique<JitRuntimeState::ThreadSlots>();
     slots->snapshots.resize(kMaxHandleSlots);
     slots->adj_holds.resize(kMaxHandleSlots);

@@ -124,12 +124,12 @@ struct JitRuntimeState {
 inline constexpr uint32_t kMaxHandleSlots = 64;
 
 /// Builds the shared runtime state for one execution of `plan` through
-/// `exec` (prepared), with storage for `num_threads` morsel workers plus
-/// the serial slot 0.
+/// `exec` (prepared), with per-runner storage for `num_runners` morsel
+/// runners (slot 0 = the calling thread; see util/morsel_dispatch.h).
 std::unique_ptr<JitRuntimeState> MakeRuntimeState(
     const query::Plan& plan, query::ExecContext ctx,
     query::ResultCollector* collector, query::PipelineExecutor* exec,
-    size_t num_threads);
+    size_t num_runners);
 
 }  // namespace poseidon::jit
 

@@ -74,7 +74,10 @@ struct LatencyModel {
     for (uint64_t b = first; b <= last; ++b) {
       if (b == ring.last_block) continue;
       if (uint64_t* ready_at = ring.Find(b)) {
-        if (now == 0) now = NowNs();
+        // A fill that completed by the last clock reading is free; only a
+        // fill that may still be in flight needs a fresh reading.
+        if (*ready_at <= ring.clock_floor_ns) continue;
+        if (now == 0) now = ring.ReadClock();
         if (*ready_at > now) wait_ns += *ready_at - now;
         continue;  // fill already in flight; pay only the residual
       }
@@ -99,7 +102,7 @@ struct LatencyModel {
     uint64_t now = 0;  // fetched lazily, only when a fill starts
     for (uint64_t b = first; b <= last; ++b) {
       if (b == ring.last_block || ring.Find(b) != nullptr) continue;
-      if (now == 0) now = NowNs();
+      if (now == 0) now = ring.ReadClock();
       ring.Insert(b, now + read_block_ns);
     }
   }
@@ -122,9 +125,17 @@ struct LatencyModel {
     uint64_t blocks[kPrefetchSlots];
     uint64_t ready_at_ns[kPrefetchSlots] = {};
     uint32_t next = 0;
+    /// The last steady_clock value this thread read: the clock is at least
+    /// here, so a fill ready by then has completed.
+    uint64_t clock_floor_ns = 0;
 
     PrefetchRing() {
       for (uint64_t& b : blocks) b = ~0ull;
+    }
+
+    uint64_t ReadClock() {
+      clock_floor_ns = NowNs();
+      return clock_floor_ns;
     }
 
     uint64_t* Find(uint64_t block) {

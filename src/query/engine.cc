@@ -4,7 +4,9 @@ namespace poseidon::query {
 
 QueryEngine::QueryEngine(storage::GraphStore* store,
                          index::IndexManager* indexes, size_t num_threads)
-    : store_(store), indexes_(indexes), pool_(num_threads) {}
+    : store_(store),
+      indexes_(indexes),
+      pool_(num_threads > 0 ? num_threads - 1 : 0) {}
 
 Result<QueryResult> QueryEngine::Execute(const Plan& plan,
                                          tx::Transaction* tx,
@@ -24,20 +26,11 @@ Result<QueryResult> QueryEngine::Execute(const Plan& plan,
   if (!parallel || slots == 0) {
     POSEIDON_RETURN_IF_ERROR(exec.Run());
   } else {
-    std::mutex status_mu;
-    Status first_error;
-    for (uint64_t begin = 0; begin < slots; begin += kMorselSize) {
-      uint64_t end = std::min(begin + kMorselSize, slots);
-      pool_.Submit([&exec, &status_mu, &first_error, begin, end] {
-        Status s = exec.RunMorsel(begin, end);
-        if (!s.ok()) {
-          std::lock_guard<std::mutex> lock(status_mu);
-          if (first_error.ok()) first_error = s;
-        }
-      });
-    }
-    pool_.WaitIdle();
-    POSEIDON_RETURN_IF_ERROR(first_error);
+    POSEIDON_RETURN_IF_ERROR(RunMorsels(
+        &pool_, slots, kMorselSize, tx->cancel_token(),
+        [&exec](uint64_t begin, uint64_t end, uint32_t, bool*) {
+          return exec.RunMorsel(begin, end);
+        }));
     POSEIDON_RETURN_IF_ERROR(exec.Finish());
   }
   QueryResult result;

@@ -74,7 +74,7 @@ const SourceHandle* HandleFor(const ExecContext* ctx, RecordId id) {
 
 PipelineExecutor::PipelineExecutor(const Plan& plan, ExecContext ctx,
                                    ResultCollector* collector)
-    : root_(plan.root.get()), ctx_(ctx), collector_(collector) {}
+    : root_(plan.root()), ctx_(ctx), collector_(collector) {}
 
 PipelineExecutor::PipelineExecutor(const Op* root, ExecContext ctx,
                                    ResultCollector* collector)

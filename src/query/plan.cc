@@ -1,6 +1,9 @@
 #include "query/plan.h"
 
 #include <functional>
+#include <utility>
+
+#include "util/hash.h"
 
 namespace poseidon::query {
 
@@ -95,11 +98,27 @@ int CountOpsRec(const Op* op) {
 
 }  // namespace
 
-int Plan::CountOps() const { return CountOpsRec(root.get()); }
+Plan::Plan() : signature_hash_(HashString("")) {}
+
+Plan::Plan(std::unique_ptr<Op> root)
+    : root_(std::move(root)), signature_hash_(HashString(Signature())) {}
+
+Plan::Plan(Plan&& other) noexcept
+    : root_(std::move(other.root_)),
+      signature_hash_(
+          std::exchange(other.signature_hash_, HashString(""))) {}
+
+Plan& Plan::operator=(Plan&& other) noexcept {
+  root_ = std::move(other.root_);
+  signature_hash_ = std::exchange(other.signature_hash_, HashString(""));
+  return *this;
+}
+
+int Plan::CountOps() const { return CountOpsRec(root_.get()); }
 
 std::string Plan::Signature() const {
   std::string s;
-  AppendOpSignature(root.get(), &s);
+  AppendOpSignature(root_.get(), &s);
   return s;
 }
 
@@ -300,12 +319,12 @@ void PrintOp(const Op* op, const storage::Dictionary* dict,
 std::string Plan::ToString(const storage::Dictionary* dict,
                            const ExplainAnnotation* ann) const {
   std::string out;
-  PrintOp(root.get(), dict, ann, 0, &out);
+  PrintOp(root_.get(), dict, ann, 0, &out);
   return out;
 }
 
 const Op* Plan::Source() const {
-  const Op* op = root.get();
+  const Op* op = root_.get();
   while (op != nullptr && op->input != nullptr) op = op->input.get();
   return op;
 }
@@ -323,7 +342,7 @@ bool OpTreeWrites(const Op* op) {
 }
 }  // namespace
 
-bool Plan::HasWrites() const { return OpTreeWrites(root.get()); }
+bool Plan::HasWrites() const { return OpTreeWrites(root_.get()); }
 
 PlanBuilder&& PlanBuilder::Push(std::unique_ptr<Op> op) && {
   op->input = std::move(chain_);
@@ -458,7 +477,7 @@ PlanBuilder&& PlanBuilder::HashJoin(Plan build_side, int left_key_col,
                                     int right_key_col) && {
   auto op = std::make_unique<Op>();
   op->kind = OpKind::kHashJoin;
-  op->right = std::move(build_side.root);
+  op->right = std::move(build_side.root_);
   op->left_key_col = left_key_col;
   op->right_key_col = right_key_col;
   return std::move(*this).Push(std::move(op));
@@ -500,10 +519,6 @@ PlanBuilder&& PlanBuilder::SetProperty(int column, storage::DictCode key,
   return std::move(*this).Push(std::move(op));
 }
 
-Plan PlanBuilder::Build() && {
-  Plan p;
-  p.root = std::move(chain_);
-  return p;
-}
+Plan PlanBuilder::Build() && { return Plan(std::move(chain_)); }
 
 }  // namespace poseidon::query

@@ -169,13 +169,23 @@ struct ExplainAnnotation {
   uint64_t space_denied = 0;
 };
 
-/// A complete query plan. `root` is the sink-most operator.
 /// True for the operators that write (kCreateNode / kCreateRel /
 /// kSetProperty).
 bool IsWriteOp(const Op& op);
 
-struct Plan {
-  std::unique_ptr<Op> root;
+/// A complete query plan. It is immutable once built: only PlanBuilder sets
+/// the operator tree, so the structural key computed by Build can never go
+/// stale, and any number of threads may execute one Plan concurrently.
+class Plan {
+ public:
+  /// The empty plan (no operators).
+  Plan();
+  /// A moved-from plan is left empty, with the empty plan's key.
+  Plan(Plan&& other) noexcept;
+  Plan& operator=(Plan&& other) noexcept;
+
+  /// The sink-most operator (null for the empty plan).
+  const Op* root() const { return root_.get(); }
 
   /// Number of operators in the chain (tree).
   int CountOps() const;
@@ -185,6 +195,10 @@ struct Plan {
   /// Parameters contribute their index, not their value, so one compiled
   /// query serves all parameter bindings.
   std::string Signature() const;
+
+  /// HashString(Signature()), computed once when the plan is built, so
+  /// executions key the compiled-code cache without re-serializing the plan.
+  uint64_t signature_hash() const { return signature_hash_; }
 
   /// The source operator of the main (left-most) pipeline.
   const Op* Source() const;
@@ -200,6 +214,13 @@ struct Plan {
   ///   `[parallel=<n threads>, morsel=<size>, rts=...]`.
   std::string ToString(const storage::Dictionary* dict = nullptr,
                        const ExplainAnnotation* ann = nullptr) const;
+
+ private:
+  friend class PlanBuilder;
+  explicit Plan(std::unique_ptr<Op> root);
+
+  std::unique_ptr<Op> root_;
+  uint64_t signature_hash_;
 };
 
 /// Fluent construction of linear plans (joins attach via HashJoin(build)).

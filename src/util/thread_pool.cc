@@ -2,20 +2,12 @@
 
 namespace poseidon {
 
-namespace {
-thread_local int t_worker_index = -1;
-}  // namespace
-
 ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads == 0) num_threads = 1;
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back(
-        [this, i] { WorkerLoop(static_cast<int>(i)); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
-
-int ThreadPool::current_worker_index() { return t_worker_index; }
 
 ThreadPool::~ThreadPool() {
   {
@@ -27,6 +19,10 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
+  if (workers_.empty()) {
+    task();
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
@@ -34,33 +30,18 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_available_.notify_one();
 }
 
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-void ThreadPool::WorkerLoop(int worker_index) {
-  t_worker_index = worker_index;
+void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_available_.wait(lock,
                            [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (shutdown_) return;
-        continue;
-      }
+      if (queue_.empty()) return;  // shut down and drained
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++in_flight_;
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) idle_.notify_all();
-    }
   }
 }
 

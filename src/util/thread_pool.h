@@ -1,5 +1,5 @@
-// Fixed-size worker pool used by the morsel-driven query scheduler (§6.1 of
-// the paper) and by parallel benchmark drivers.
+// Fixed-size worker pool that supplies the helpers of the morsel-driven
+// query scheduler (§6.1 of the paper; util/morsel_dispatch.h).
 
 #ifndef POSEIDON_UTIL_THREAD_POOL_H_
 #define POSEIDON_UTIL_THREAD_POOL_H_
@@ -15,37 +15,29 @@ namespace poseidon {
 
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (>= 1).
+  /// Spawns `num_threads` workers. A pool without workers runs every task
+  /// inline in Submit.
   explicit ThreadPool(size_t num_threads);
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Drains outstanding tasks and joins all workers.
+  /// Runs every task still queued, then joins all workers.
   ~ThreadPool();
 
   /// Enqueues a task. Tasks must not block indefinitely on other tasks.
   void Submit(std::function<void()> task);
 
-  /// Blocks until every submitted task has finished executing.
-  void WaitIdle();
-
   size_t num_threads() const { return workers_.size(); }
 
-  /// Index of the calling pool worker in [0, num_threads()), or -1 when
-  /// called from a non-pool thread. Stable for the pool's lifetime.
-  static int current_worker_index();
-
  private:
-  void WorkerLoop(int worker_index);
+  void WorkerLoop();
 
   std::mutex mu_;
   std::condition_variable work_available_;
-  std::condition_variable idle_;
-  std::deque<std::function<void()>> queue_;
+  std::deque<std::function<void()>> queue_;  // guarded by mu_
+  bool shutdown_ = false;                    // guarded by mu_
   std::vector<std::thread> workers_;
-  size_t in_flight_ = 0;
-  bool shutdown_ = false;
 };
 
 }  // namespace poseidon

@@ -153,9 +153,18 @@ TEST_F(ConcurrencyTest, SnapshotSumInvariantUnderTransfers) {
     });
   }
 
+  // The reader keeps going until it has both 300 clean reads and seen the
+  // writers commit kMinTransfers transfers while it read: on a loaded host
+  // 300 reads can finish before either writer commits once. Past the
+  // wall-clock cap it stops, and the progress check below reports it.
+  constexpr int kMinTransfers = 20;
+  const auto cap = std::chrono::steady_clock::now() + std::chrono::seconds(60);
   std::thread reader([&] {
+    const int transfers_at_start = transfers.load();
     int reads = 0;
-    while (reads < 300) {
+    while (reads < 300 ||
+           (transfers.load() - transfers_at_start < kMinTransfers &&
+            std::chrono::steady_clock::now() < cap)) {
       auto tx = mgr_->Begin();
       int64_t sum = 0;
       bool clean = true;

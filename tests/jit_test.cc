@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
+#include <thread>
+
 #include "ldbc/queries.h"
 #include "util/hash.h"
 
@@ -294,6 +301,139 @@ TEST_F(JitTest, CodeCachedUnderAnotherCodegenVersionIsNeverServed) {
     ASSERT_TRUE(c.ok()) << c.status().ToString();
     EXPECT_TRUE(c->from_persistent_cache);
   }
+}
+
+/// The compiled-code cache key as computed from a fresh serialization of
+/// the plan: every key the engine derives from the stored plan hash must
+/// equal it, so code cached before the hash was stored is still served.
+uint64_t KeyFromSignature(const Plan& p, const JitOptions& o) {
+  uint64_t id = HashCombine(HashString(p.Signature()), o.optimize ? 1 : 2);
+  id = HashCombine(id, kCodegenAbiVersion);
+  id = HashCombine(id, o.scan.batch_size);
+  id = HashCombine(id, o.scan.prefetch_distance);
+  return HashCombine(id, o.adj_cache ? 1 : 2);
+}
+
+TEST_F(JitTest, QueryIdEqualsTheKeyRecomputedFromTheSignature) {
+  const auto& s = ds_->schema;
+  std::vector<ldbc::NamedQuery> plans = ldbc::BuildShortReads(s, true);
+  for (auto& q : ldbc::BuildShortReads(s, false)) plans.push_back(std::move(q));
+  auto updates = ldbc::BuildUpdates(s, &store_->dict(), true);
+  ASSERT_TRUE(updates.ok());
+  for (auto& q : *updates) plans.push_back(std::move(q));
+  plans.push_back(
+      {"join", PlanBuilder()
+                   .NodeScan(s.person)
+                   .HashJoin(PlanBuilder().NodeScan(s.forum).Build(), 0, 0)
+                   .Count()
+                   .Build()});
+  JitOptions defaults, unoptimized, no_adj, far_prefetch;
+  unoptimized.optimize = false;
+  no_adj.adj_cache = false;
+  far_prefetch.scan.prefetch_distance = 64;
+  for (const auto& q : plans) {
+    for (const JitOptions& o : {defaults, unoptimized, no_adj, far_prefetch}) {
+      EXPECT_EQ(JitEngine::QueryIdFor(q.plan, o), KeyFromSignature(q.plan, o))
+          << q.name;
+    }
+  }
+}
+
+TEST_F(JitTest, OnePlanExecutedFromFourThreads) {
+  const auto& s = ds_->schema;
+  Plan p = PlanBuilder()
+               .IndexScan(s.person, s.id, Expr::Param(0))
+               .Expand(0, Direction::kOut, s.knows)
+               .Project({Expr::Property(2, s.id)})
+               .Build();
+  const std::vector<Value> params = {Value::Int(3)};
+  auto want = Run(p, params, ExecutionMode::kInterpret);
+  ASSERT_TRUE(want.ok());
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 8; ++i) {
+        for (ExecutionMode mode :
+             {ExecutionMode::kInterpret, ExecutionMode::kInterpretParallel,
+              ExecutionMode::kJit, ExecutionMode::kAdaptive}) {
+          auto tx = mgr_->Begin();
+          auto got = engine_->Execute(p, tx.get(), params, mode);
+          if (!got.ok() || !tx->Commit().ok() ||
+              !SameRows(*want, *got, /*order_sensitive=*/false)) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  engine_->WaitForBackgroundCompiles();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST_F(JitTest, MemoHitsCompleteWhileAnotherPlanCompiles) {
+  const auto& s = ds_->schema;
+  Plan a = PlanBuilder().NodeScan(s.city).Count().Build();
+  Plan b = PlanBuilder()
+               .NodeScan(s.tag)
+               .Project({Expr::Property(0, s.id)})
+               .Build();
+  auto engine = JitEngine::Create(nullptr);
+  ASSERT_TRUE(engine.ok());
+  JitEngine* jit = engine->get();
+  ASSERT_TRUE(jit->Compile(a).ok());  // A is memoized from here on
+
+  // B's compile parks inside FinishCompile (compile lock held) until
+  // `release`; both waits give up after a bound so a memo probe that
+  // blocks behind the compile fails the test instead of hanging it.
+  const uint64_t b_id = JitEngine::QueryIdFor(b, JitOptions());
+  std::mutex mu;
+  std::condition_variable cv;
+  bool b_inside = false, release = false;
+  jit->set_compile_hook_for_testing([&](uint64_t query_id) {
+    if (query_id != b_id) return;
+    std::unique_lock<std::mutex> lock(mu);
+    b_inside = true;
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(20), [&] { return release; });
+  });
+  auto b_compile = std::async(std::launch::async, [&] {
+    return jit->Compile(b);
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(
+        cv.wait_for(lock, std::chrono::seconds(20), [&] { return b_inside; }));
+  }
+  constexpr int kHits = 100;
+  auto hits = std::async(std::launch::async, [&] {
+    int memo_hits = 0;
+    for (int i = 0; i < kHits; ++i) {
+      auto c = jit->Compile(a);
+      CompiledQuery probe;
+      if (c.ok() && c->from_memo && jit->TryGetMemoized(a, {}, &probe)) {
+        ++memo_hits;
+      }
+    }
+    return memo_hits;
+  });
+  // Every hit completes while B is still parked inside FinishCompile.
+  bool hits_done =
+      hits.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+  bool b_still_inside = b_compile.wait_for(std::chrono::seconds(0)) !=
+                        std::future_status::ready;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+    cv.notify_all();
+  }
+  EXPECT_TRUE(hits_done) << "memo hits waited behind another plan's compile";
+  EXPECT_TRUE(b_still_inside);
+  EXPECT_EQ(hits.get(), kHits);
+  auto compiled_b = b_compile.get();
+  ASSERT_TRUE(compiled_b.ok()) << compiled_b.status().ToString();
+  EXPECT_FALSE(compiled_b->from_memo);
 }
 
 TEST_F(JitTest, AdaptiveMatchesInterpreter) {

@@ -168,6 +168,22 @@ TEST_F(LatencyModelTest, BlockPrefetchedAFullReadAgoIsFree) {
   EXPECT_LT(ElapsedMs([&] { m.OnRead(buf, 64); }), kFullMs / 3);
 }
 
+TEST_F(LatencyModelTest, FillSeenAfterALaterClockReadIsFree) {
+  LatencyModel m;
+  m.read_block_ns = kBlockNs;
+  alignas(256) static char done[256];
+  alignas(256) static char later[256];
+  m.OnPrefetch(done, 64);
+  SpinMs(kFullMs + 5);
+  // Starting another fill reads the clock after `done`'s fill completed;
+  // the read of `done` is then settled from that reading and pays nothing.
+  m.OnPrefetch(later, 64);
+  EXPECT_LT(ElapsedMs([&] { m.OnRead(done, 64); }), kFullMs / 3);
+  // The fill started by that reading is still in flight: its read pays the
+  // residual, not nothing.
+  EXPECT_GE(ElapsedMs([&] { m.OnRead(later, 64); }), kFullMs / 2);
+}
+
 TEST_F(LatencyModelTest, RereadOfTheSameBlockIsFree) {
   LatencyModel m;
   m.read_block_ns = kBlockNs;

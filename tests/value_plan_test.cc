@@ -4,6 +4,7 @@
 #include "util/spin_timer.h"
 #include "query/plan.h"
 #include "query/value.h"
+#include "util/hash.h"
 
 namespace poseidon::query {
 namespace {
@@ -92,6 +93,11 @@ TEST(PlanTest, SignatureDistinguishesStructure) {
                          .Build();
   EXPECT_EQ(scan_count().Signature(), scan_count().Signature());
   EXPECT_NE(scan_count().Signature(), filter_plan.Signature());
+  // The key stored at Build is the hash of the signature, so it follows it.
+  EXPECT_EQ(scan_count().signature_hash(),
+            HashString(scan_count().Signature()));
+  EXPECT_EQ(scan_count().signature_hash(), scan_count().signature_hash());
+  EXPECT_NE(scan_count().signature_hash(), filter_plan.signature_hash());
 
   // Different literal -> different signature; different param INDEX ->
   // different; same param index -> same.
@@ -115,6 +121,28 @@ TEST(PlanTest, SignatureDistinguishesStructure) {
                    .FilterProperty(0, 2, CmpOp::kEq, Expr::Param(1))
                    .Build();
   EXPECT_NE(par_a.Signature(), par_b.Signature());
+  EXPECT_NE(lit_a.signature_hash(), lit_b.signature_hash());
+  EXPECT_NE(par_a.signature_hash(), par_b.signature_hash());
+  EXPECT_EQ(par_a.signature_hash(), HashString(par_a.Signature()));
+}
+
+TEST(PlanTest, SignatureHashFollowsThePlanThroughMoves) {
+  Plan scan;
+  EXPECT_EQ(scan.signature_hash(), HashString(""));
+  // Move-assigned over a default plan, as tests that build plans late do.
+  scan = PlanBuilder().NodeScan(1).Count().Build();
+  EXPECT_EQ(scan.signature_hash(), HashString(scan.Signature()));
+  EXPECT_NE(scan.signature_hash(), HashString(""));
+  // Move-assigned over another built plan.
+  const uint64_t count_key = scan.signature_hash();
+  scan = PlanBuilder().NodeScan(2).Build();
+  EXPECT_EQ(scan.signature_hash(), HashString(scan.Signature()));
+  EXPECT_NE(scan.signature_hash(), count_key);
+  // Move-constructed; the source is left as the empty plan.
+  Plan moved(std::move(scan));
+  EXPECT_EQ(moved.signature_hash(), HashString(moved.Signature()));
+  EXPECT_EQ(scan.root(), nullptr);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(scan.signature_hash(), HashString(""));
 }
 
 TEST(PlanTest, SignatureCoversJoinBuildSide) {
@@ -123,6 +151,8 @@ TEST(PlanTest, SignatureCoversJoinBuildSide) {
     return PlanBuilder().NodeScan(1).HashJoin(std::move(build), 0, 0).Build();
   };
   EXPECT_NE(mk(5).Signature(), mk(6).Signature());
+  EXPECT_NE(mk(5).signature_hash(), mk(6).signature_hash());
+  EXPECT_EQ(mk(5).signature_hash(), HashString(mk(5).Signature()));
 }
 
 TEST(PlanTest, DirectionAndLabelsInSignature) {
