@@ -64,7 +64,7 @@ Status JitQueryEngine::RunCompiledSerial(const CompiledQuery& compiled,
   }
   return RunMorsels(
       nullptr, exec->SourceCardinality(), QueryEngine::kMorselSize,
-      state->ctx.tx->cancel_token(),
+      *state->ctx.tx->cancel_token(),
       [&](uint64_t begin, uint64_t end, uint32_t runner, bool* stop) {
         int32_t code = compiled.fn(state, begin, end, runner);
         ++stats->jit_morsels;
@@ -128,7 +128,7 @@ Result<QueryResult> JitQueryEngine::Execute(
       }
       std::atomic<uint64_t> morsels{0};
       Status ran = RunMorsels(
-          &pool_, slots, QueryEngine::kMorselSize, tx->cancel_token(),
+          &pool_, slots, QueryEngine::kMorselSize, *tx->cancel_token(),
           [&](uint64_t begin, uint64_t end, uint32_t, bool*) {
             morsels.fetch_add(1, std::memory_order_relaxed);
             return exec.RunMorsel(begin, end);
@@ -232,7 +232,7 @@ Result<QueryResult> JitQueryEngine::Execute(
       // runner id addresses the JIT handle storage.
       std::atomic<uint64_t> jit_morsels{0}, interp_morsels{0};
       Status ran = RunMorsels(
-          &pool_, slots, QueryEngine::kMorselSize, tx->cancel_token(),
+          &pool_, slots, QueryEngine::kMorselSize, *tx->cancel_token(),
           [&](uint64_t begin, uint64_t end, uint32_t runner, bool* stop) {
             CompiledQueryFn fn = compiled_fn->load(std::memory_order_acquire);
             if (fn == nullptr) {

@@ -27,7 +27,7 @@ Result<QueryResult> QueryEngine::Execute(const Plan& plan,
     POSEIDON_RETURN_IF_ERROR(exec.Run());
   } else {
     POSEIDON_RETURN_IF_ERROR(RunMorsels(
-        &pool_, slots, kMorselSize, tx->cancel_token(),
+        &pool_, slots, kMorselSize, *tx->cancel_token(),
         [&exec](uint64_t begin, uint64_t end, uint32_t, bool*) {
           return exec.RunMorsel(begin, end);
         }));

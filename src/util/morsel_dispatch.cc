@@ -41,7 +41,7 @@ void RunClaims(MorselJob& job, uint32_t runner) {
   for (;;) {
     uint64_t m = job.cursor.fetch_add(1);
     if (m >= job.num_morsels) return;
-    Status s = job.cancel != nullptr ? job.cancel->Check() : Status::Ok();
+    Status s = job.cancel->Check();
     bool stop = false;
     if (s.ok()) {
       uint64_t begin = m * job.morsel_size;
@@ -61,19 +61,19 @@ void RunClaims(MorselJob& job, uint32_t runner) {
 }  // namespace
 
 Status RunMorsels(ThreadPool* pool, uint64_t total, uint64_t morsel_size,
-                  const util::CancelToken* cancel, const MorselBody& body) {
+                  const util::CancelToken& cancel, const MorselBody& body) {
   const uint64_t num_morsels = (total + morsel_size - 1) / morsel_size;
   const uint64_t helpers =
       pool == nullptr || num_morsels < 2
           ? 0
           : std::min<uint64_t>(pool->num_threads(), num_morsels - 1);
   if (helpers == 0) {
-    MorselJob job(total, morsel_size, cancel, &body);
+    MorselJob job(total, morsel_size, &cancel, &body);
     RunClaims(job, 0);
     return job.first_error;
   }
 
-  auto job = std::make_shared<MorselJob>(total, morsel_size, cancel, &body);
+  auto job = std::make_shared<MorselJob>(total, morsel_size, &cancel, &body);
   for (uint32_t h = 1; h <= helpers; ++h) {
     pool->Submit([job, h] {
       // Registered before the first claim: a helper that claims a morsel is

@@ -35,12 +35,12 @@ using MorselBody = std::function<Status(uint64_t begin, uint64_t end,
 
 /// Splits [0, total) into morsels of `morsel_size` units and runs them with
 /// `body`, the calling thread included; `pool` (may be null: the caller runs
-/// every morsel) supplies the helpers. `cancel` (may be null) is polled
-/// before each morsel. Returns once every claimed morsel has finished, with
+/// every morsel) supplies the helpers. `cancel` is polled before each
+/// morsel. Returns once every claimed morsel has finished, with
 /// the first error any morsel or poll reported; an error or a stop ends the
 /// claiming of further morsels.
 Status RunMorsels(ThreadPool* pool, uint64_t total, uint64_t morsel_size,
-                  const util::CancelToken* cancel, const MorselBody& body);
+                  const util::CancelToken& cancel, const MorselBody& body);
 
 }  // namespace poseidon
 

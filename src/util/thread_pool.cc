@@ -1,5 +1,7 @@
 #include "util/thread_pool.h"
 
+#include <cassert>
+
 namespace poseidon {
 
 ThreadPool::ThreadPool(size_t num_threads) {
@@ -19,10 +21,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  if (workers_.empty()) {
-    task();
-    return;
-  }
+  assert(!workers_.empty() && "no worker would ever run the task");
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));

@@ -15,8 +15,9 @@ namespace poseidon {
 
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers. A pool without workers runs every task
-  /// inline in Submit.
+  /// Spawns `num_threads` workers. A pool without workers is legal (a
+  /// query engine whose caller runs every morsel) but must not be given
+  /// tasks.
   explicit ThreadPool(size_t num_threads);
 
   ThreadPool(const ThreadPool&) = delete;
@@ -25,7 +26,8 @@ class ThreadPool {
   /// Runs every task still queued, then joins all workers.
   ~ThreadPool();
 
-  /// Enqueues a task. Tasks must not block indefinitely on other tasks.
+  /// Enqueues a task; requires num_threads() > 0. Tasks must not block
+  /// indefinitely on other tasks.
   void Submit(std::function<void()> task);
 
   size_t num_threads() const { return workers_.size(); }

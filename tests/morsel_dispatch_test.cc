@@ -24,6 +24,9 @@ namespace {
 
 constexpr auto kTimeout = std::chrono::seconds(20);
 
+/// For calls whose cancellation is not under test.
+const util::CancelToken kNeverCancelled;
+
 /// A one-shot latch whose wait gives up after kTimeout, so a scheduler that
 /// makes callers wait for each other fails the test instead of hanging it.
 class Latch {
@@ -55,7 +58,7 @@ struct Call {
 Status Record(ThreadPool* pool, uint64_t total, uint64_t size,
               std::vector<Call>* calls) {
   std::mutex mu;
-  return RunMorsels(pool, total, size, nullptr,
+  return RunMorsels(pool, total, size, kNeverCancelled,
                     [&](uint64_t b, uint64_t e, uint32_t runner, bool*) {
                       std::lock_guard<std::mutex> lock(mu);
                       calls->push_back({b, e, runner,
@@ -106,7 +109,7 @@ TEST(MorselDispatchTest, HelpersCoverEveryMorselOnceWithinTheirSlots) {
 
 TEST(MorselDispatchTest, FirstErrorWinsAndEndsTheClaiming) {
   int runs = 0;
-  Status s = RunMorsels(nullptr, 100, 1, nullptr,
+  Status s = RunMorsels(nullptr, 100, 1, kNeverCancelled,
                         [&](uint64_t b, uint64_t, uint32_t, bool*) {
                           ++runs;
                           if (b >= 3) {
@@ -122,7 +125,7 @@ TEST(MorselDispatchTest, FirstErrorWinsAndEndsTheClaiming) {
   // claiming stops long before the 100k morsels are done.
   ThreadPool pool(3);
   std::atomic<int> parallel_runs{0};
-  s = RunMorsels(&pool, 100000, 1, nullptr,
+  s = RunMorsels(&pool, 100000, 1, kNeverCancelled,
                  [&](uint64_t b, uint64_t, uint32_t, bool*) {
                    parallel_runs.fetch_add(1);
                    return b == 10 ? Status::Internal("morsel 10")
@@ -134,7 +137,7 @@ TEST(MorselDispatchTest, FirstErrorWinsAndEndsTheClaiming) {
 
 TEST(MorselDispatchTest, StopEndsTheClaimingWithoutAnError) {
   int runs = 0;
-  Status s = RunMorsels(nullptr, 100, 1, nullptr,
+  Status s = RunMorsels(nullptr, 100, 1, kNeverCancelled,
                         [&](uint64_t b, uint64_t, uint32_t, bool* stop) {
                           ++runs;
                           *stop = b == 5;  // a satisfied LIMIT
@@ -147,7 +150,7 @@ TEST(MorselDispatchTest, StopEndsTheClaimingWithoutAnError) {
 TEST(MorselDispatchTest, CancelIsPolledBeforeEachMorsel) {
   util::CancelToken token;
   int runs = 0;
-  Status s = RunMorsels(nullptr, 100, 1, &token,
+  Status s = RunMorsels(nullptr, 100, 1, token,
                         [&](uint64_t b, uint64_t, uint32_t, bool*) {
                           ++runs;
                           if (b == 2) token.Cancel();
@@ -166,7 +169,8 @@ TEST(MorselDispatchTest, ConcurrentCallersOnOneWorkerDoNotWaitForEachOther) {
   // claimed the second, which then blocks until caller B has returned.
   std::thread a([&] {
     a_status = RunMorsels(
-        &pool, 2, 1, nullptr, [&](uint64_t, uint64_t, uint32_t runner, bool*) {
+        &pool, 2, 1, kNeverCancelled,
+        [&](uint64_t, uint64_t, uint32_t runner, bool*) {
           if (runner == 0) {
             if (!helper_running.Wait()) timed_out = true;
           } else {
@@ -181,7 +185,7 @@ TEST(MorselDispatchTest, ConcurrentCallersOnOneWorkerDoNotWaitForEachOther) {
   // worker, so B must finish both morsels itself and return without
   // waiting for the pool.
   std::atomic<int> b_runs{0};
-  Status b_status = RunMorsels(&pool, 2, 1, nullptr,
+  Status b_status = RunMorsels(&pool, 2, 1, kNeverCancelled,
                                [&](uint64_t, uint64_t, uint32_t, bool*) {
                                  b_runs.fetch_add(1);
                                  return Status::Ok();
@@ -206,7 +210,7 @@ TEST(MorselDispatchTest, LateHelperTouchesNothingOfItsReturnedCaller) {
       // Everything the body touches lives in this scope; the helper this
       // call posts is still queued behind the gate when the scope ends.
       std::vector<uint32_t> runners(4, 99);
-      Status s = RunMorsels(&pool, 4, 1, nullptr,
+      Status s = RunMorsels(&pool, 4, 1, kNeverCancelled,
                             [&](uint64_t b, uint64_t, uint32_t runner, bool*) {
                               runners[b] = runner;
                               return Status::Ok();

@@ -438,30 +438,23 @@ TEST_F(ScanKernelTest, CancellationWhileGroupsAreBufferedUnwindsCleanly) {
     ASSERT_TRUE(engine_->Execute(plan, reader_.get(), {}, mode).ok());
     auto full = std::chrono::steady_clock::now() - t0;
     engine_->WaitForBackgroundCompiles();
-    // Whether a cancel lands inside a sub-millisecond run depends on when
-    // the scheduler wakes the canceller (on a host that runs the process's
-    // threads one at a time, often only after the run), so the sweep
-    // repeats, at most kSweeps times, until one has landed.
-    constexpr int kSweeps = 10;
     int cancelled = 0;
-    for (int sweep = 0; sweep < kSweeps && cancelled == 0; ++sweep) {
-      for (int step = 0; step < 12; ++step) {
-        std::thread canceller([&, step] {
-          std::this_thread::sleep_for(full * step / 12);
-          token->Cancel();
-        });
-        auto r = engine_->Execute(plan, reader_.get(), {}, mode);
-        canceller.join();
-        if (r.ok()) {
-          // Finished before the cancel: the rows must be complete.
-          EXPECT_EQ(Keys(r->rows, true), want);
-        } else {
-          EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
-          ++cancelled;
-        }
-        engine_->WaitForBackgroundCompiles();
-        token->Reset();
+    for (int step = 0; step < 12; ++step) {
+      std::thread canceller([&, step] {
+        std::this_thread::sleep_for(full * step / 12);
+        token->Cancel();
+      });
+      auto r = engine_->Execute(plan, reader_.get(), {}, mode);
+      canceller.join();
+      if (r.ok()) {
+        // Finished before the cancel: the rows must be complete.
+        EXPECT_EQ(Keys(r->rows, true), want);
+      } else {
+        EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
+        ++cancelled;
       }
+      engine_->WaitForBackgroundCompiles();
+      token->Reset();
     }
     EXPECT_GT(cancelled, 0);
   }

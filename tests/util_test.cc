@@ -233,14 +233,6 @@ TEST(ThreadPoolTest, ExecutesAllTasks) {
   EXPECT_EQ(count.load(), 1000);
 }
 
-TEST(ThreadPoolTest, PoolWithoutWorkersRunsTasksInline) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 0u);
-  std::thread::id ran_on;
-  pool.Submit([&] { ran_on = std::this_thread::get_id(); });
-  EXPECT_EQ(ran_on, std::this_thread::get_id());
-}
-
 TEST(ThreadPoolTest, TasksRunConcurrently) {
   std::atomic<int> active{0};
   std::atomic<int> max_active{0};
